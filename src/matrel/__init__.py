@@ -25,7 +25,6 @@ from .matcalc import (
     NotHermitianError,
     TolerancePolicy,
     block2,
-    compress,
     direct_sum,
     fractional_power,
     hermitian_calculus,
@@ -44,7 +43,6 @@ from .ncpoly import (
     PolyError,
     UnknownVariableError,
     Variable,
-    adjoint_poly,
     evaluate,
     format_poly,
     homogeneity,
@@ -80,7 +78,6 @@ from .approx import (
     SHARP,
     CompressionSchedule,
     Cutoff,
-    ModelOperator,
     QuasicentralStep,
     StarStrongProbe,
     clock_shift_norm_gap,

@@ -116,14 +116,27 @@ class CompressionSchedule:
         return cls(ranks, Cutoff.parse(cutoff_text))
 
 
+def cutoff_step(a: Assignment, cutoff: Cutoff, rank: int
+                ) -> tuple[Assignment, dict[str, float]]:
+    """The one cutoff step of both procedures: every m becomes u m u, u
+    the cutoff diagonal at ``rank``, and each variable gets its
+    quasi-centrality defect ||u m - m u||.  Sharp makes u the rank
+    projection, so the cut is the zero-padded corner."""
+    w = cutoff.weights(a.dim, rank)
+    cut = Assignment({name: (w[:, None] * m) * w[None, :]
+                      for name, m in a.items()})
+    defects = {name: matcalc.op_norm(w[:, None] * m - m * w[None, :])
+               for name, m in a.items()}
+    return cut, defects
+
+
 def loewner_step(a: Assignment, rank: int) -> Assignment:
     """Compress every matrix by the sharp rank projection.
 
     Ranks beyond the dimension act as the identity.  Order relations
     survive this step: p (y - x) p is positive whenever y - x is.
     """
-    r = min(rank, a.dim)
-    return Assignment({name: matcalc.compress(m, r) for name, m in a.items()})
+    return cutoff_step(a, SHARP, rank)[0]
 
 
 @dataclass(frozen=True)
@@ -172,13 +185,18 @@ def quasicentral_approximation(
     norm bound stays satisfied at every rank.
     """
     policy = policy or matcalc.DEFAULT_POLICY
-    bounds = _tracked_bounds(relations)
+    return _steps(a, _tracked_bounds(relations), schedule, policy)
+
+
+def _steps(a: Assignment, bounds: Sequence[NormBound],
+           schedule: CompressionSchedule,
+           policy: TolerancePolicy) -> list[QuasicentralStep]:
+    """One cutoff step per rank, rescaled so that no tracked bound's norm
+    grows; with no bounds to track, alpha stays 1."""
     originals = [matcalc.op_norm(evaluate(b.poly, a, policy)) for b in bounds]
     steps = []
     for rank in schedule.ranks:
-        w = schedule.cutoff.weights(a.dim, rank)
-        cut = {name: (w[:, None] * m) * w[None, :] for name, m in a.items()}
-        cut_a = Assignment(cut)
+        cut_a, defects = cutoff_step(a, schedule.cutoff, rank)
         alpha = 1.0
         cut_norms = []
         for b, orig in zip(bounds, originals):
@@ -188,10 +206,7 @@ def quasicentral_approximation(
                 continue
             degree = float(homogeneity(b.poly))
             alpha = min(alpha, min(1.0, (orig / norm_u) ** (1.0 / degree)))
-        scaled = Assignment({name: alpha * m for name, m in cut.items()})
-        defects = {
-            name: matcalc.op_norm(w[:, None] * m - m * w[None, :])
-            for name, m in a.items()}
+        scaled = Assignment({name: alpha * m for name, m in cut_a.items()})
         bound_norms = {
             describe(b): (alpha ** float(homogeneity(b.poly))) * n
             for b, n in zip(bounds, cut_norms)}
@@ -287,9 +302,9 @@ def _van_der_corput(i: int) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class ModelOperator:
-    """A named operator family, instantiated at any dimension.
+def model(kind: str, dim: int,
+          rule: Callable[[float], complex] | None = None) -> np.ndarray:
+    """Instantiate a model operator at the given dimension.
 
     Kinds: ``unilateral_shift`` (ones on the subdiagonal),
     ``diagonal`` (rule(i) on the diagonal), ``multiplication`` (rule
@@ -298,41 +313,28 @@ class ModelOperator:
     ``shiftmod`` (the cyclic shift, whose corner entry makes the clock
     commutation exact).
     """
-
-    kind: str
-    rule: Callable[[float], complex] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        needs_rule = self.kind in ("diagonal", "multiplication")
-        if needs_rule and self.rule is None:
-            raise ValueError(f"model {self.kind!r} needs a rule")
-        if not needs_rule and self.rule is not None:
-            raise ValueError(f"model {self.kind!r} takes no rule")
-
-    def matrix(self, dim: int) -> np.ndarray:
-        if dim < 1:
-            raise ValueError("model dimension must be at least 1")
-        if self.kind == "unilateral_shift":
-            return np.eye(dim, k=-1, dtype=complex)
-        if self.kind == "diagonal":
-            return np.diag([complex(self.rule(i)) for i in range(dim)])
-        if self.kind == "multiplication":
-            return np.diag([complex(self.rule(_van_der_corput(i)))
-                            for i in range(dim)])
-        if self.kind == "clock":
-            omega = np.exp(2j * np.pi / dim)
-            return np.diag(omega ** np.arange(dim))
-        shift = np.eye(dim, k=1, dtype=complex)
-        shift[dim - 1, 0] = 1.0
-        return shift
-
-
-def model(kind: str, dim: int,
-          rule: Callable[[float], complex] | None = None) -> np.ndarray:
-    """Instantiate a model operator at the given dimension."""
-    return ModelOperator(kind, rule).matrix(dim)
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    needs_rule = kind in ("diagonal", "multiplication")
+    if needs_rule and rule is None:
+        raise ValueError(f"model {kind!r} needs a rule")
+    if not needs_rule and rule is not None:
+        raise ValueError(f"model {kind!r} takes no rule")
+    if dim < 1:
+        raise ValueError("model dimension must be at least 1")
+    if kind == "unilateral_shift":
+        return np.eye(dim, k=-1, dtype=complex)
+    if kind == "diagonal":
+        return np.diag([complex(rule(i)) for i in range(dim)])
+    if kind == "multiplication":
+        return np.diag([complex(rule(_van_der_corput(i)))
+                        for i in range(dim)])
+    if kind == "clock":
+        omega = np.exp(2j * np.pi / dim)
+        return np.diag(omega ** np.arange(dim))
+    shift = np.eye(dim, k=1, dtype=complex)
+    shift[dim - 1, 0] = 1.0
+    return shift
 
 
 def clock_shift_norm_gap(dim: int) -> float:
@@ -348,44 +350,34 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
                     policy: TolerancePolicy | None = None) -> list[dict]:
     """Residuals of every relation along a schedule, as flat rows.
 
-    ``procedure`` is "loewner" (sharp compression, alpha fixed at 1) or
-    "quasicentral" (smoothed cutoff with rescaling; the norm-bound
-    members of ``relations`` drive the rescaling, while every relation
-    is checked).  Rows have keys rank, relation, residual, alpha,
-    defect.
+    ``procedure`` is "loewner" (the sharp cutoff with alpha fixed at 1;
+    the schedule's cutoff must be sharp) or "quasicentral" (the
+    schedule's cutoff with rescaling; the norm-bound members of
+    ``relations`` drive the rescaling, while every relation is checked).
+    Rows have keys rank, relation, residual, alpha, defect.
     """
     policy = policy or matcalc.DEFAULT_POLICY
-    rows = []
     if procedure == "loewner":
-        for rank in schedule.ranks:
-            step = loewner_step(a, rank)
-            w = SHARP.weights(a.dim, rank)
-            defect = max(
-                matcalc.op_norm(w[:, None] * m - m * w[None, :])
-                for m in (a[n] for n in a.names()))
-            for rel in relations:
-                rows.append({
-                    "rank": rank,
-                    "relation": describe(rel),
-                    "residual": residual(rel, step, policy).residual,
-                    "alpha": 1.0,
-                    "defect": defect,
-                })
-        return rows
-    if procedure == "quasicentral":
-        steps = quasicentral_approximation(a, relations, schedule, policy)
-        for step in steps:
-            defect = max(step.defects.values())
-            for rel in relations:
-                rows.append({
-                    "rank": step.rank,
-                    "relation": describe(rel),
-                    "residual": residual(rel, step.assignment, policy).residual,
-                    "alpha": step.alpha,
-                    "defect": defect,
-                })
-        return rows
-    raise ValueError(f"unknown procedure {procedure!r}")
+        if schedule.cutoff != SHARP:
+            raise ValueError("the loewner procedure uses the sharp cutoff, "
+                             f"not {schedule.cutoff}")
+        bounds = []
+    elif procedure == "quasicentral":
+        bounds = _tracked_bounds(relations)
+    else:
+        raise ValueError(f"unknown procedure {procedure!r}")
+    rows = []
+    for step in _steps(a, bounds, schedule, policy):
+        defect = max(step.defects.values())
+        for rel in relations:
+            rows.append({
+                "rank": step.rank,
+                "relation": describe(rel),
+                "residual": residual(rel, step.assignment, policy).residual,
+                "alpha": step.alpha,
+                "defect": defect,
+            })
+    return rows
 
 
 def write_residual_csv(path, rows: Sequence[dict]) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import matcalc, verify
 from .approx import CompressionSchedule, residual_curves, write_residual_csv
@@ -35,59 +35,9 @@ EXPERIMENT_NAMES = ("expnorm", "heinz", "monotone-sqrt", "monotone-square",
 MAX_DIM = 512
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of options for one invocation."""
-
-    command: str
-    tol_eq: float = 1e-9
-    tol_psd: float = 1e-9
-    seed: int | None = None
-    dim: int | None = None
-    count: int | None = None
-    budget: int | None = None
-    out: str | None = None
-    schedule: str | None = None
-    cutoff: str = "sharp"
-    name: str | None = None
-    paths: tuple[str, ...] = field(default=())
-
-    def policy(self) -> TolerancePolicy:
-        return TolerancePolicy(tol_eq=self.tol_eq, tol_psd=self.tol_psd)
-
-
-class UsageError(ValueError):
-    pass
-
-
-def _paths(args: argparse.Namespace) -> tuple[str, ...]:
-    if hasattr(args, "relfile"):
-        return (args.relfile, args.matfile)
-    return tuple(getattr(args, "paths", ()) or ())
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        tol_eq=getattr(args, "tol_eq", 1e-9),
-        tol_psd=getattr(args, "tol_psd", 1e-9),
-        seed=getattr(args, "seed", None),
-        dim=getattr(args, "dim", None),
-        count=getattr(args, "count", None),
-        budget=getattr(args, "budget", None),
-        out=getattr(args, "out", None),
-        schedule=getattr(args, "schedule", None),
-        cutoff=getattr(args, "cutoff", "sharp"),
-        name=getattr(args, "name", None),
-        paths=_paths(args),
-    )
-    if cfg.dim is not None and not 1 <= cfg.dim <= MAX_DIM:
-        raise UsageError(f"--dim must lie in [1, {MAX_DIM}]")
-    for label in ("count", "budget"):
-        value = getattr(cfg, label)
-        if value is not None and value < 1:
-            raise UsageError(f"--{label} must be at least 1")
-    return cfg
+def _require_positive(value: int | None, flag: str) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{flag} must be at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,23 +58,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("relfile", metavar="RELFILE")
     p_check.add_argument("matfile", metavar="MATFILE")
     add_tols(p_check)
+    p_check.set_defaults(run=_cmd_check)
 
     p_approx = sub.add_parser("approx", help="run a compression procedure "
                                              "and report residual curves")
     p_approx.add_argument("relfile", metavar="RELFILE")
     p_approx.add_argument("matfile", metavar="MATFILE")
-    p_approx.add_argument("--procedure", required=True, dest="name",
+    p_approx.add_argument("--procedure", required=True,
                           choices=("loewner", "quasicentral"))
     p_approx.add_argument("--schedule", required=True,
                           help="comma-separated ranks, e.g. 8,16,32")
     p_approx.add_argument("--cutoff", default="sharp",
-                          help="sharp or ramp:WIDTH (default sharp)")
+                          help="sharp or ramp:WIDTH (default sharp); "
+                               "loewner takes only sharp")
     p_approx.add_argument("--out", help="write residual curves as CSV")
     add_tols(p_approx)
+    p_approx.set_defaults(run=_cmd_approx)
 
     p_exp = sub.add_parser("experiment", help="run one randomized experiment")
     p_exp.add_argument("name", choices=EXPERIMENT_NAMES)
-    p_exp.add_argument("paths", nargs="*", metavar="RELFILE",
+    p_exp.add_argument("relfile", nargs="?", metavar="RELFILE",
                        help="relation file (positivity only)")
     p_exp.add_argument("--seed", type=int, required=True)
     p_exp.add_argument("--dim", type=int)
@@ -132,12 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--budget", type=int)
     p_exp.add_argument("--out", help="write JSON lines here")
     add_tols(p_exp)
+    p_exp.set_defaults(run=_cmd_experiment)
 
     p_rep = sub.add_parser("reproduce", help="run the fixed-seed suite")
     p_rep.add_argument("--budget", type=int, default=20000,
                        help="ratio evaluations per search dimension")
     p_rep.add_argument("--out", help="write JSON lines here")
     add_tols(p_rep)
+    p_rep.set_defaults(run=_cmd_reproduce)
     return parser
 
 
@@ -150,25 +105,29 @@ def _print_verdict_table(relations, verdict) -> None:
               f"{part.residual:>13.6e}")
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    _, relations = load_relations(cfg.paths[0])
-    assignment = load_assignment(cfg.paths[1])
-    verdict = check_all(relations, assignment, cfg.policy())
+def _policy(args: argparse.Namespace) -> TolerancePolicy:
+    return TolerancePolicy(tol_eq=args.tol_eq, tol_psd=args.tol_psd)
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    _, relations = load_relations(args.relfile)
+    assignment = load_assignment(args.matfile)
+    verdict = check_all(relations, assignment, _policy(args))
     _print_verdict_table(relations, verdict)
     print(("satisfied" if verdict.satisfied else "unsatisfied")
           + f" ({verdict.detail}, worst margin {verdict.margin:.6e})")
     return 0 if verdict.satisfied else 1
 
 
-def _cmd_approx(cfg: RunConfig) -> int:
-    _, relations = load_relations(cfg.paths[0])
-    assignment = load_assignment(cfg.paths[1])
-    schedule = CompressionSchedule.parse(cfg.schedule, cfg.cutoff)
-    rows = residual_curves(assignment, relations, schedule, cfg.name,
-                           cfg.policy())
-    if cfg.out:
-        write_residual_csv(cfg.out, rows)
-        print(f"wrote {len(rows)} rows to {cfg.out}")
+def _cmd_approx(args: argparse.Namespace) -> int:
+    _, relations = load_relations(args.relfile)
+    assignment = load_assignment(args.matfile)
+    schedule = CompressionSchedule.parse(args.schedule, args.cutoff)
+    rows = residual_curves(assignment, relations, schedule, args.procedure,
+                           _policy(args))
+    if args.out:
+        write_residual_csv(args.out, rows)
+        print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(f"{'rank':>5} {'residual':>13} {'alpha':>9} {'defect':>9}  relation")
         for row in rows:
@@ -180,38 +139,35 @@ def _cmd_approx(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_experiment(cfg: RunConfig) -> list[ExperimentReport]:
-    seed = cfg.seed
-    name = cfg.name
+def _run_experiment(args: argparse.Namespace) -> list[ExperimentReport]:
+    seed, name, dim, count = args.seed, args.name, args.dim, args.count
+    if args.relfile is not None and name != "positivity":
+        raise ValueError(f"experiment {name!r} takes no relation file")
     if name == "expnorm":
-        e = Ensemble("general", cfg.dim or 6, seed, cfg.count or 1000)
+        e = Ensemble("general", dim or 6, seed, count or 1000)
         return [verify.exp_norm_experiment(e)]
     if name == "heinz":
-        e = Ensemble("general", cfg.dim or 4, seed, cfg.count or 125)
+        e = Ensemble("general", dim or 4, seed, count or 125)
         return [verify.heinz_experiment(e)]
     if name == "monotone-sqrt":
-        e = Ensemble("order-pair", cfg.dim or 4, seed, cfg.count or 1000)
+        e = Ensemble("order-pair", dim or 4, seed, count or 1000)
         return [verify.monotone_experiment(0.5, e)]
     if name == "monotone-square":
-        e = Ensemble("order-pair", cfg.dim or 2, seed, cfg.count or 200)
+        e = Ensemble("order-pair", dim or 2, seed, count or 200)
         return [verify.monotone_experiment(2.0, e)]
     if name == "commutator":
-        return [verify.commutator_sqrt_search(cfg.dim or 4, seed,
-                                              cfg.budget or 20000)]
-    if name == "positivity":
-        if cfg.paths:
-            from pathlib import Path
-            text = Path(cfg.paths[0]).read_text()
-        else:
-            text = verify.DEFAULT_POSITIVITY_RELATIONS
-        dims = [cfg.dim] if cfg.dim else [2, 3, 4, 5, 6]
-        return [verify.positivity_transfer_check(
-            text, dims=dims, seed=seed, count=cfg.count or 40,
-            policy=cfg.policy())]
-    raise UsageError(f"unknown experiment {name!r}")
+        return [verify.commutator_sqrt_search(dim or 4, seed,
+                                              args.budget or 20000)]
+    if args.relfile is not None:
+        text = Path(args.relfile).read_text()
+    else:
+        text = verify.DEFAULT_POSITIVITY_RELATIONS
+    dims = [dim] if dim else [2, 3, 4, 5, 6]
+    return [verify.positivity_transfer_check(
+        text, dims=dims, seed=seed, count=count or 40, policy=_policy(args))]
 
 
-def _report_lines(reports: list[ExperimentReport]) -> bool:
+def _report(reports: list[ExperimentReport], out: str | None) -> int:
     all_passed = True
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -222,41 +178,31 @@ def _report_lines(reports: list[ExperimentReport]) -> bool:
               f"threshold={threshold} samples={rep.samples} "
               f"({rep.runtime_ms:.0f} ms)")
         all_passed = all_passed and rep.passed
-    return all_passed
+    if out:
+        write_reports(out, reports)
+        print(f"wrote {len(reports)} report(s) to {out}")
+    return 0 if all_passed else 1
 
 
-def _cmd_experiment(cfg: RunConfig) -> int:
-    reports = _run_experiment(cfg)
-    ok = _report_lines(reports)
-    if cfg.out:
-        write_reports(cfg.out, reports)
-        print(f"wrote {len(reports)} report(s) to {cfg.out}")
-    return 0 if ok else 1
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.dim is not None and not 1 <= args.dim <= MAX_DIM:
+        raise ValueError(f"--dim must lie in [1, {MAX_DIM}]")
+    _require_positive(args.count, "--count")
+    _require_positive(args.budget, "--budget")
+    return _report(_run_experiment(args), args.out)
 
 
-def _cmd_reproduce(cfg: RunConfig) -> int:
-    reports = verify.run_reproduction(commutator_budget=cfg.budget or 20000)
-    ok = _report_lines(reports)
-    if cfg.out:
-        write_reports(cfg.out, reports)
-        print(f"wrote {len(reports)} report(s) to {cfg.out}")
-    return 0 if ok else 1
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "approx": _cmd_approx,
-    "experiment": _cmd_experiment,
-    "reproduce": _cmd_reproduce,
-}
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    _require_positive(args.budget, "--budget")
+    return _report(verify.run_reproduction(commutator_budget=args.budget),
+                   args.out)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except (ParseError, matcalc.MatrixError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 3

@@ -89,17 +89,43 @@ def adjoint(a) -> np.ndarray:
 
 def real_part(a) -> np.ndarray:
     """Hermitian part (a + a*) / 2."""
-    m = as_matrix(a)
+    return _hermitian_part(as_matrix(a))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """Symmetrized so that eigh sees an exactly Hermitian matrix; on a
+    Hermitian input this changes no bit."""
     return (m + adjoint(m)) / 2
+
+
+def hermitian_defect(m: np.ndarray) -> float:
+    """||m - m*||, the one measure of how far ``m`` is from Hermitian."""
+    return op_norm(m - adjoint(m))
 
 
 def _require_hermitian(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    defect = op_norm(m - adjoint(m))
+    defect = hermitian_defect(m)
     if defect > policy.tol_eq * policy.scale(m):
         raise NotHermitianError(
             f"matrix is not Hermitian: ||a - a*|| = {defect:.3e}")
-    # Symmetrize so eigh sees an exactly Hermitian matrix.
-    return (m + adjoint(m)) / 2
+    return m
+
+
+def spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the Hermitian part of
+    ``m``, which the caller has checked or knows to be Hermitian."""
+    return np.linalg.eigh(_hermitian_part(m))
+
+
+def spectrum_values(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``m``, unchecked as
+    in :func:`spectrum`."""
+    return np.linalg.eigvalsh(_hermitian_part(m))
+
+
+def from_spectrum(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """Reassemble v diag(fw) v* from eigenvectors and (new) eigenvalues."""
+    return (v * fw) @ adjoint(v)
 
 
 def hermitian_calculus(f, a, policy: TolerancePolicy | None = None) -> np.ndarray:
@@ -110,10 +136,8 @@ def hermitian_calculus(f, a, policy: TolerancePolicy | None = None) -> np.ndarra
     symmetrized before the eigendecomposition.
     """
     policy = policy or DEFAULT_POLICY
-    h = _require_hermitian(as_matrix(a), policy)
-    w, v = np.linalg.eigh(h)
-    fw = np.asarray(f(w))
-    return (v * fw) @ adjoint(v)
+    w, v = spectrum(_require_hermitian(as_matrix(a), policy))
+    return from_spectrum(v, np.asarray(f(w)))
 
 
 def matrix_exp(a) -> np.ndarray:
@@ -124,8 +148,7 @@ def matrix_exp(a) -> np.ndarray:
 def eigenvalues(a, policy: TolerancePolicy | None = None) -> np.ndarray:
     """Sorted real eigenvalues of a Hermitian matrix."""
     policy = policy or DEFAULT_POLICY
-    h = _require_hermitian(as_matrix(a), policy)
-    return np.linalg.eigvalsh(h)
+    return spectrum_values(_require_hermitian(as_matrix(a), policy))
 
 
 def min_eigenvalue(a, policy: TolerancePolicy | None = None) -> float:
@@ -156,15 +179,13 @@ def fractional_power(a, exponent, policy: TolerancePolicy | None = None) -> np.n
         if n < 0:
             raise ValueError("negative powers are not supported")
         return np.linalg.matrix_power(m, n)
-    h = _require_hermitian(m, policy)
-    w, v = np.linalg.eigh(h)
-    floor = -policy.tol_psd * policy.scale(h)
+    w, v = spectrum(_require_hermitian(m, policy))
+    floor = -policy.tol_psd * policy.scale(_hermitian_part(m))
     if w[0] < floor:
         raise NegativeSpectrumError(
             f"fractional power of a matrix with eigenvalue {w[0]:.3e} "
             f"below the positivity tolerance {floor:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * w ** float(t)) @ adjoint(v)
+    return from_spectrum(v, np.clip(w, 0.0, None) ** float(t))
 
 
 def direct_sum(mats) -> np.ndarray:
@@ -173,22 +194,6 @@ def direct_sum(mats) -> np.ndarray:
     if not blocks:
         raise ValueError("direct_sum needs at least one matrix")
     return scipy.linalg.block_diag(*blocks).astype(complex)
-
-
-def compress(a, rank: int) -> np.ndarray:
-    """Two-sided compression p a p by the rank-``rank`` coordinate projection.
-
-    The output keeps the ambient dimension; rows and columns past ``rank``
-    are zeroed.  ``rank`` may run from 0 (zero matrix) to dim (identity
-    compression).
-    """
-    m = as_matrix(a)
-    d = m.shape[0]
-    if not 0 <= rank <= d:
-        raise ValueError(f"rank {rank} out of range for dimension {d}")
-    out = np.zeros_like(m)
-    out[:rank, :rank] = m[:rank, :rank]
-    return out
 
 
 def block2(x, y, z) -> np.ndarray:

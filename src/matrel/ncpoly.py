@@ -183,18 +183,6 @@ class NcPolynomial:
     def zero(cls, variables) -> "NcPolynomial":
         return cls(_as_variables(variables), ())
 
-    @classmethod
-    def var(cls, variables, name: str) -> "NcPolynomial":
-        """The polynomial consisting of the single variable ``name``."""
-        return cls.from_terms(variables, [(1.0, [(name, False, Fraction(1))])])
-
-    def var_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
     def degree(self) -> Fraction:
         """Largest monomial degree.  Undefined for the zero polynomial."""
         if not self.monomials:
@@ -246,6 +234,7 @@ class NcPolynomial:
         return out
 
     def adjoint(self) -> "NcPolynomial":
+        """Formal adjoint: conjugated coefficients, reversed starred words."""
         terms = []
         for m in self.monomials:
             word = [(name, not star, exp) for name, star, exp in reversed(m.word)]
@@ -255,11 +244,6 @@ class NcPolynomial:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def adjoint_poly(p: NcPolynomial) -> NcPolynomial:
-    """Formal adjoint: coefficients conjugated, words reversed and starred."""
-    return p.adjoint()
 
 
 def homogeneity(p: NcPolynomial) -> Fraction | None:
@@ -575,7 +559,7 @@ def _parse_rational(stream: TokenStream) -> Fraction:
 
 def _parse_integer(stream: TokenStream) -> int:
     tok = stream.peek()
-    if tok.kind != "num" or float(tok.value) != int(tok.value):
+    if tok.kind != "num" or not tok.value.is_integer():
         raise ParseError(f"expected an integer, found {_describe(tok)}", tok.pos)
     stream.next()
     return int(tok.value)
@@ -589,18 +573,14 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-def _format_coeff(coeff: complex, lone: bool) -> tuple[str, str]:
-    """Split a coefficient into a sign and an unsigned body.
-
-    ``lone`` says whether the monomial has no word to follow (only used
-    for the zero polynomial, which is handled elsewhere); for ordinary
-    monomials a unit coefficient prints as the empty body.
-    """
+def _format_coeff(coeff: complex) -> tuple[str, str]:
+    """Split a coefficient into a sign and an unsigned body; a unit
+    coefficient prints as the empty body."""
     re_, im = coeff.real, coeff.imag
     if im == 0:
         sign = "-" if re_ < 0 else "+"
         mag = abs(re_)
-        if mag == 1 and not lone:
+        if mag == 1:
             return sign, ""
         return sign, format_number(mag)
     if re_ == 0:
@@ -632,7 +612,7 @@ def format_poly(p: NcPolynomial) -> str:
         return "0"
     chunks: list[str] = []
     for idx, mono in enumerate(p.monomials):
-        sign, body = _format_coeff(mono.coeff, lone=False)
+        sign, body = _format_coeff(mono.coeff)
         word = " ".join(_format_factor(f) for f in mono.word)
         piece = f"{body} {word}".strip() if body else word
         if idx == 0:

@@ -51,6 +51,8 @@ from .ncpoly import (
     PolyError,
     TokenStream,
     Variable,
+    _IDENT_RE,
+    _describe,
     evaluate,
     format_number,
     format_poly,
@@ -237,14 +239,6 @@ class Assignment:
         return f"Assignment(dim={self.dim}, vars={list(self._store)})"
 
 
-def _hermitian_or_defect(m: np.ndarray, tol: float):
-    """Return (symmetrized matrix, None) or (None, defect) if not Hermitian."""
-    defect = matcalc.op_norm(m - matcalc.adjoint(m))
-    if defect > tol:
-        return None, defect
-    return (m + matcalc.adjoint(m)) / 2, None
-
-
 def residual(rel: Relation, a: Assignment,
              policy: TolerancePolicy | None = None) -> Verdict:
     """Check one relation against an assignment.
@@ -259,12 +253,11 @@ def residual(rel: Relation, a: Assignment,
     eq_slack = policy.tol_eq * scale
     psd_slack = policy.tol_psd * scale
 
-    def eig_margin(m: np.ndarray, to_min: bool = True) -> tuple[float, str]:
-        h, defect = _hermitian_or_defect(m, eq_slack)
-        if h is None:
+    def eig_margin(m: np.ndarray) -> tuple[float, str]:
+        defect = matcalc.hermitian_defect(m)
+        if defect > eq_slack:
             return -defect, f"not self-adjoint, defect {defect:.3e}"
-        w = np.linalg.eigvalsh(h)
-        return (float(w[0]) if to_min else float(w[-1])), ""
+        return float(matcalc.spectrum_values(m)[0]), ""
 
     match rel:
         case PolyZero(poly=p):
@@ -286,7 +279,7 @@ def residual(rel: Relation, a: Assignment,
             margin = low + psd_slack
             detail = note or f"min eigenvalue of gap {low:.6e}"
         case SelfAdjoint(var=v):
-            defect = matcalc.op_norm(a[v] - matcalc.adjoint(a[v]))
+            defect = matcalc.hermitian_defect(a[v])
             margin = eq_slack - defect
             detail = f"||m - m*|| = {defect:.6e}"
         case Positive(var=v):
@@ -294,13 +287,12 @@ def residual(rel: Relation, a: Assignment,
             margin = low + psd_slack
             detail = note or f"min eigenvalue {low:.6e}"
         case Range01(var=v):
-            m0 = a[v]
-            h, defect = _hermitian_or_defect(m0, eq_slack)
-            if h is None:
+            defect = matcalc.hermitian_defect(a[v])
+            if defect > eq_slack:
                 margin = -defect
                 detail = f"not self-adjoint, defect {defect:.3e}"
             else:
-                w = np.linalg.eigvalsh(h)
+                w = matcalc.spectrum_values(a[v])
                 low = float(min(w[0], 1.0 - w[-1]))
                 margin = low + psd_slack
                 detail = f"distance into [0, 1]: {low:.6e}"
@@ -324,12 +316,12 @@ def residual(rel: Relation, a: Assignment,
             margin = low + psd_slack
             detail = note or f"min block eigenvalue {low:.6e}"
         case RealPartBound(var=v, bound=beta):
-            high, _ = eig_margin(matcalc.real_part(a[v]), to_min=False)
+            high = float(matcalc.spectrum_values(a[v])[-1])
             margin = beta - high + psd_slack
             detail = f"max eigenvalue of real part {high:.6e} vs {beta:g}"
         case ExpRealNormBound(var=v, bound=beta):
-            h = matcalc.real_part(a[v])
-            norm = matcalc.op_norm(matcalc.hermitian_calculus(np.exp, h, policy))
+            w, vecs = matcalc.spectrum(a[v])
+            norm = matcalc.op_norm(matcalc.from_spectrum(vecs, np.exp(w)))
             margin = beta + eq_slack - norm
             detail = f"||exp(re m)|| = {norm:.6e} vs {beta:g}"
         case _:
@@ -494,17 +486,13 @@ def _parse_relation(stream: TokenStream, variables: dict[str, Variable],
         return OperatorOrder(p, q)
     bad = stream.peek()
     raise ParseError(
-        f"expected '=', '>=' or '<=', found {_tok_text(bad)}", bad.pos)
-
-
-def _tok_text(tok) -> str:
-    return "end of input" if tok.kind == "end" else repr(str(tok.value))
+        f"expected '=', '>=' or '<=', found {_describe(bad)}", bad.pos)
 
 
 def _take_number(stream: TokenStream) -> float:
     tok = stream.peek()
     if tok.kind != "num":
-        raise ParseError(f"expected a number, found {_tok_text(tok)}", tok.pos)
+        raise ParseError(f"expected a number, found {_describe(tok)}", tok.pos)
     stream.next()
     return float(tok.value)
 
@@ -612,7 +600,7 @@ def parse_assignment(text: str) -> Assignment:
     at = 1
     for _ in range(count):
         name = lines[at]
-        if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", name):
+        if not _IDENT_RE.match(name):
             raise ParseError(f"bad variable name line {name!r}")
         if name in mats:
             raise ParseError(f"variable {name!r} appears twice")

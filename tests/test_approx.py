@@ -9,6 +9,7 @@ from matrel.relations import (
     Assignment,
     Range01,
     RealPartBound,
+    describe,
     parse_relations,
     residual,
 )
@@ -18,6 +19,7 @@ from matrel.approx import (
     Cutoff,
     StarStrongProbe,
     clock_shift_norm_gap,
+    cutoff_step,
     loewner_step,
     model,
     quasicentral_approximation,
@@ -69,6 +71,57 @@ def test_loewner_step_is_cornerwise():
     assert not out["x"][3:, :].any() and not out["x"][:, 3:].any()
     # ranks past the dimension saturate
     assert np.array_equal(loewner_step(a, 99)["x"], a["x"])
+
+
+def _corner_copy(a, rank):
+    """The zero-padded corner, copied entry by entry."""
+    r = min(rank, a.dim)
+    out = {}
+    for name, m in a.items():
+        c = np.zeros_like(m)
+        c[:r, :r] = m[:r, :r]
+        out[name] = c
+    return Assignment(out)
+
+
+def test_sharp_step_is_the_zero_padded_corner():
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    small = Assignment({"x": m})
+    assert np.array_equal(loewner_step(small, 1)["x"],
+                          [[1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(loewner_step(small, 0)["x"], np.zeros((2, 2)))
+    assert np.array_equal(loewner_step(small, 2)["x"], m)
+
+    rng = np.random.default_rng(17)
+    dim = 10
+    a = Assignment({name: rng.standard_normal((dim, dim))
+                    + 1j * rng.standard_normal((dim, dim))
+                    for name in ("x", "y")})
+    for rank in (1, 4, 9, 10, 15):
+        cut, defects = cutoff_step(a, SHARP, rank)
+        corner = _corner_copy(a, rank)
+        for name in a:
+            assert np.array_equal(cut[name], corner[name])
+        assert set(defects) == {"x", "y"}
+
+    _, rels = parse_relations(
+        "var x;\nvar y;\nrel norm(x y - y x) <= 1.0;\nrel x* x <= y* y;\n"
+        "rel x* x >= 0;\nrel blockpos(x, x* x, y y*);\nrel re(x) <= 2.0;\n"
+        "rel normexp_re(y) <= 3.0;\n")
+    schedule = CompressionSchedule((1, 4, 9, 10, 15), SHARP)
+    rows = residual_curves(a, rels, schedule, "loewner", POLICY)
+    expected = []
+    for rank in schedule.ranks:
+        w = SHARP.weights(dim, rank)
+        defect = max(op_norm(w[:, None] * m - m * w[None, :])
+                     for _, m in a.items())
+        corner = _corner_copy(a, rank)
+        for rel in rels:
+            verdict = residual(rel, corner, POLICY)
+            expected.append({"rank": rank, "relation": describe(rel),
+                             "residual": verdict.residual,
+                             "alpha": 1.0, "defect": defect})
+    assert rows == expected
 
 
 def test_loewner_step_preserves_order_relations():
@@ -282,6 +335,8 @@ def test_residual_curves_and_csv(tmp_path):
     assert all(r["alpha"] == 1.0 for r in sharp_rows)
     with pytest.raises(ValueError):
         residual_curves(a, rels, schedule, "newton", POLICY)
+    with pytest.raises(ValueError):  # loewner is the sharp cutoff
+        residual_curves(a, rels, schedule, "loewner", POLICY)
     out = tmp_path / "curves.csv"
     write_residual_csv(out, rows)
     with open(out, newline="") as fh:

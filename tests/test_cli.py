@@ -58,6 +58,13 @@ def test_check_malformed_input_exits_three(tmp_path, capsys):
     assert main(["check", rel, mat]) == 3
     err = capsys.readouterr().err
     assert "error" in err.lower()
+    # an exponent that overflows to inf is a malformed file, not a crash
+    for expo in ("1e400", "(1e400/2)"):
+        rel = _write(tmp_path, "huge.rel",
+                     f"var x;\nrel norm(x^{expo}) <= 1;\n")
+        assert main(["check", rel, mat]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -79,6 +86,14 @@ def test_bad_option_values_exit_two(tmp_path):
     assert main(["experiment", "expnorm", "--seed", "1", "--dim", "1000"]) == 2
     assert main(["approx", rel, mat, "--procedure", "loewner",
                  "--schedule", "8,4"]) == 2
+    # loewner is the sharp cutoff; a ramp would be silently ignored
+    assert main(["approx", rel, mat, "--procedure", "loewner",
+                 "--schedule", "4,8", "--cutoff", "ramp:2"]) == 2
+    # only positivity reads a relation file
+    assert main(["experiment", "expnorm", rel, "--seed", "1"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "positivity", rel, rel, "--seed", "1"])
+    assert info.value.code == 2
 
 
 def test_approx_table_and_csv(tmp_path, capsys):

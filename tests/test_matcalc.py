@@ -8,7 +8,6 @@ from matrel.matcalc import (
     NotHermitianError,
     TolerancePolicy,
     block2,
-    compress,
     direct_sum,
     fractional_power,
     hermitian_calculus,
@@ -112,15 +111,6 @@ def test_direct_sum_blocks_and_norm():
     assert abs(op_norm(s) - max(op_norm(a), op_norm(b))) < 1e-14
     with pytest.raises(ValueError):
         direct_sum([])
-
-
-def test_compress():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(compress(m, 1), [[1.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(compress(m, 0), np.zeros((2, 2)))
-    assert np.array_equal(compress(m, 2), m)
-    with pytest.raises(ValueError):
-        compress(m, 3)
 
 
 def test_block2_identity_is_psd_with_kernel():
