@@ -47,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator-norm inequality experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tols(p):
-        p.add_argument("--tol-eq", dest="tol_eq", type=float, default=1e-9,
-                       help="relative equality tolerance (default 1e-9)")
-        p.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-9,
-                       help="relative positivity tolerance (default 1e-9)")
+    def add_tols(p, note=""):
+        p.add_argument("--tol-eq", dest="tol_eq", type=float,
+                       help=f"relative equality tolerance (default 1e-9){note}")
+        p.add_argument("--tol-psd", dest="tol_psd", type=float,
+                       help=f"relative positivity tolerance (default 1e-9){note}")
 
     p_check = sub.add_parser("check", help="check an assignment against a "
                                            "relation file")
@@ -84,14 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--count", type=int)
     p_exp.add_argument("--budget", type=int)
     p_exp.add_argument("--out", help="write JSON lines here")
-    add_tols(p_exp)
+    add_tols(p_exp, "; positivity only")
     p_exp.set_defaults(run=_cmd_experiment)
 
     p_rep = sub.add_parser("reproduce", help="run the fixed-seed suite")
     p_rep.add_argument("--budget", type=int, default=20000,
                        help="ratio evaluations per search dimension")
     p_rep.add_argument("--out", help="write JSON lines here")
-    add_tols(p_rep)
     p_rep.set_defaults(run=_cmd_reproduce)
     return parser
 
@@ -105,8 +104,14 @@ def _print_verdict_table(relations, verdict) -> None:
               f"{part.residual:>13.6e}")
 
 
+def _tols(args: argparse.Namespace) -> dict:
+    """The tolerance flags given on the command line."""
+    return {name: getattr(args, name) for name in ("tol_eq", "tol_psd")
+            if getattr(args, name) is not None}
+
+
 def _policy(args: argparse.Namespace) -> TolerancePolicy:
-    return TolerancePolicy(tol_eq=args.tol_eq, tol_psd=args.tol_psd)
+    return TolerancePolicy(**_tols(args))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -141,8 +146,11 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 def _run_experiment(args: argparse.Namespace) -> list[ExperimentReport]:
     seed, name, dim, count = args.seed, args.name, args.dim, args.count
-    if args.relfile is not None and name != "positivity":
-        raise ValueError(f"experiment {name!r} takes no relation file")
+    if name != "positivity":
+        if args.relfile is not None:
+            raise ValueError(f"experiment {name!r} takes no relation file")
+        if _tols(args):
+            raise ValueError(f"experiment {name!r} takes no --tol-eq/--tol-psd")
     if name == "expnorm":
         e = Ensemble("general", dim or 6, seed, count or 1000)
         return [verify.exp_norm_experiment(e)]

@@ -35,6 +35,7 @@ not at all, and the printer raises when asked to spell one explicitly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,9 +247,21 @@ def residual(rel: Relation, a: Assignment,
     Relations whose margin is an eigenvalue bound need a Hermitian
     matrix; when the evaluated matrix is not Hermitian within tolerance,
     the margin is the negated Hermitian defect instead, so the verdict
-    degrades to a quantified failure rather than an exception.
+    degrades to a quantified failure rather than an exception.  An
+    evaluation that overflows (``x^4000``, ``exp`` of a large real part)
+    fails with margin -inf and residual inf: the assignment is finite,
+    so a non-finite entry can only come from the evaluation.
     """
-    policy = policy or matcalc.DEFAULT_POLICY
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _residual(rel, a, policy or matcalc.DEFAULT_POLICY)
+    except matcalc.NonFiniteError:
+        return Verdict(False, -math.inf, math.inf,
+                       "evaluation overflowed to non-finite entries")
+
+
+def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
+              ) -> Verdict:
     scale = max(1.0, a.max_norm())
     eq_slack = policy.tol_eq * scale
     psd_slack = policy.tol_psd * scale

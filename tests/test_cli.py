@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,33 @@ def test_bad_option_values_exit_two(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["experiment", "positivity", rel, rel, "--seed", "1"])
     assert info.value.code == 2
+
+
+def test_unused_tolerance_flags_are_usage_errors(tmp_path, capsys):
+    for flag in ("--tol-eq", "--tol-psd"):
+        for name in ("expnorm", "heinz", "monotone-sqrt", "monotone-square",
+                     "commutator"):
+            assert main(["experiment", name, "--seed", "1", "--count", "2",
+                         flag, "1e-6"]) == 2
+            assert flag in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["reproduce", "--budget", "1", flag, "0.5"])
+        assert info.value.code == 2
+    # positivity builds a tolerance policy and uses them
+    assert main(["experiment", "positivity", "--seed", "1", "--dim", "2",
+                 "--count", "2", "--tol-eq", "1e-6", "--tol-psd", "1e-6"]) == 0
+
+
+def test_check_overflow_is_a_failing_verdict(tmp_path, capsys):
+    rel = _write(tmp_path, "big.rel",
+                 "var x hermitian;\nrel norm(x^4000) <= 1;\n")
+    mat = _mat_file(tmp_path, "two.mat", {"x": np.array([[2.0]])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", rel, mat]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "-inf" in captured.out and "unsatisfied" in captured.out
 
 
 def test_approx_table_and_csv(tmp_path, capsys):

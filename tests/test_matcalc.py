@@ -42,6 +42,19 @@ def test_op_norm_rejects_bad_shapes():
         op_norm([[np.inf, 0], [0, 0]])
 
 
+def test_op_norm_is_bitwise_norm2():
+    rng = np.random.default_rng(21)
+    for d in (*range(1, 9), 64):
+        for _ in range(5):
+            m = _ginibre(rng, d)
+            assert op_norm(m) == np.linalg.norm(m, 2), d
+    assert op_norm(np.zeros((0, 0))) == 0.0
+    for bad in ([[np.inf, 0], [0, 0]], [[np.nan, 0], [0, 0]],
+                np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(MatrixError):
+            op_norm(bad)
+
+
 def test_min_eigenvalue_closed_form():
     # Eigenvalues of [[3, 1], [1, 0]] solve t^2 - 3t - 1 = 0.
     expected = (3 - np.sqrt(13)) / 2

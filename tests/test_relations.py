@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,25 @@ def test_non_hermitian_value_fails_positivity_with_detail():
     v = residual(rel, _single("x", [[0.0, 1.0], [0.0, 0.0]]), POLICY)
     assert not v.satisfied
     assert "self-adjoint" in v.detail
+
+
+def test_overflowing_evaluation_is_a_failing_verdict():
+    text = ("var x hermitian;\n"
+            "rel norm(x^4000) <= 1;\n"
+            "rel x^4000 >= 0;\n"
+            "rel normexp_re(x) <= 2;\n"
+            "rel x^2 >= 0;\n")
+    _, rels = parse_relations(text)
+    a = Assignment({"x": np.diag([800.0, 2.0])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = check_all(rels, a, POLICY)
+    assert not verdict.satisfied
+    assert verdict.margin == -np.inf and verdict.residual == np.inf
+    assert [p.satisfied for p in verdict.parts] == [True, False, False, False, True]
+    for part in verdict.parts[1:4]:
+        assert part.margin == -np.inf and part.residual == np.inf
+        assert "overflow" in part.detail
 
 
 def test_scale_grows_with_assignment():

@@ -1,18 +1,27 @@
 import json
+import math
+import time
+from typing import Iterable
 
 import numpy as np
 import pytest
 
+from matrel import matcalc
 from matrel.matcalc import min_eigenvalue, op_norm
 from matrel.relations import check_all, parse_relations
 from matrel.verify import (
+    COMMUTATOR_DEGENERATE,
     DEFAULT_POSITIVITY_RELATIONS,
+    _CLIMB_BATCH,
+    _CLIMB_MIN_GAIN,
+    _CLIMB_SCALES,
     Ensemble,
     ExperimentReport,
     clock_shift_pair,
     commutator_ratio,
     commutator_sqrt_search,
     exp_norm_experiment,
+    ginibre,
     heinz_experiment,
     monotone_experiment,
     positivity_transfer_check,
@@ -206,3 +215,181 @@ def test_report_json_and_file_output(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# The batched commutator search against the one-at-a-time search it
+# replaced.  Everything below the marker is that search, verbatim apart
+# from the names, and serves as the oracle.
+
+def _seq_psd_power(m: np.ndarray, t: float) -> np.ndarray:
+    w, v = matcalc.spectrum(m)
+    return matcalc.from_spectrum(v, np.clip(w, 0.0, None) ** t)
+
+
+def _seq_ratio(a: np.ndarray, b: np.ndarray) -> float | None:
+    """||a b^(1/2) - b^(1/2) a|| / ||ab - ba||^(1/2), or None when the
+    commutator is degenerate (norm below 1e-12)."""
+    a = matcalc.as_matrix(a)
+    b = matcalc.as_matrix(b)
+    den = matcalc.op_norm(a @ b - b @ a)
+    if den < COMMUTATOR_DEGENERATE:
+        return None
+    s = _seq_psd_power(b, 0.5)
+    return matcalc.op_norm(a @ s - s @ a) / math.sqrt(den)
+
+
+def _seq_normalized_pair(g: np.ndarray, c: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray] | None:
+    ng = matcalc.op_norm(g)
+    if ng == 0:
+        return None
+    b0 = matcalc.adjoint(c) @ c
+    nb = matcalc.op_norm(b0)
+    if nb == 0:
+        return None
+    return g / ng, b0 / nb
+
+
+def _sequential_search(dim: int, seed: int, budget: int,
+                       pair_stream: Iterable | None = None
+                       ) -> ExperimentReport:
+    """The climb as it was before batching: one candidate per ratio
+    evaluation."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    start = time.perf_counter()
+    evals = 0
+    best = -math.inf
+    best_restart = 0
+    best_pair = None
+    trace: list[tuple[int, float]] = []
+
+    def consider(value, g, c, restart) -> bool:
+        nonlocal best, best_restart, best_pair
+        if value is not None and value > best:
+            best = value
+            best_restart = restart
+            best_pair = (g.copy(), c.copy())
+            trace.append((evals, best))
+            return True
+        return False
+
+    def ratio_of(g, c):
+        nonlocal evals
+        evals += 1
+        pair = _seq_normalized_pair(g, c)
+        if pair is None:
+            return None
+        return _seq_ratio(*pair)
+
+    if pair_stream is not None:
+        for idx, (g, c) in enumerate(pair_stream):
+            if evals >= budget:
+                break
+            value = ratio_of(np.asarray(g, dtype=complex),
+                             np.asarray(c, dtype=complex))
+            consider(value, np.asarray(g, dtype=complex),
+                     np.asarray(c, dtype=complex), idx)
+        mode = "stream"
+        restarts = 0
+    else:
+        restarts = 0
+        while evals < budget:
+            rng = stream(seed, restarts, 0)
+            g = ginibre(rng, dim)
+            c = ginibre(rng, dim)
+            current = ratio_of(g, c)
+            consider(current, g, c, restarts)
+            if current is None:
+                current = -math.inf
+            for scale in _CLIMB_SCALES:
+                if evals >= budget:
+                    break
+                improved = True
+                while improved and evals < budget:
+                    improved = False
+                    for target in (g, c):
+                        for i in range(dim):
+                            for j in range(dim):
+                                for delta in (scale, -scale, 1j * scale,
+                                              -1j * scale):
+                                    if evals >= budget:
+                                        break
+                                    target[i, j] += delta
+                                    value = ratio_of(g, c)
+                                    if (value is not None
+                                            and value > current + _CLIMB_MIN_GAIN):
+                                        current = value
+                                        consider(value, g, c, restarts)
+                                        improved = True
+                                    else:
+                                        target[i, j] -= delta
+            restarts += 1
+        mode = "climb"
+
+    stats: dict = {
+        "mode": mode,
+        "restarts": restarts,
+        "trace": [[int(k), float(v)] for k, v in trace],
+    }
+    if best_pair is not None:
+        g, c = best_pair
+        stats["best_g"] = [[float(z.real) for z in row] for row in g]
+        stats["best_g_imag"] = [[float(z.imag) for z in row] for row in g]
+        stats["best_c"] = [[float(z.real) for z in row] for row in c]
+        stats["best_c_imag"] = [[float(z.imag) for z in row] for row in c]
+    return ExperimentReport(
+        id=f"commutator-d{dim}",
+        params={"dim": dim, "seed": seed, "budget": budget},
+        samples=evals,
+        max_violation=best,
+        worst_seed={"seed": seed, "index": best_restart},
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+        threshold=None,
+        stats=stats,
+    )
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_batched_climb_matches_sequential_climb(dim):
+    # dim 1 pairs always commute, so every evaluation is degenerate
+    k = _CLIMB_BATCH
+    mid_sweep = 1 + 12 * dim * dim + 3
+    for seed in (505, 17):
+        for budget in (1, 2, k - 1, k, k + 1, mid_sweep, 300):
+            got = commutator_sqrt_search(dim, seed, budget)
+            want = _sequential_search(dim, seed, budget)
+            assert _strip_runtime(got) == _strip_runtime(want), (seed, budget)
+
+
+def test_batched_stream_matches_sequential_stream():
+    rng = np.random.default_rng(3)
+    pairs = [(ginibre(rng, 3), ginibre(rng, 3))
+             for _ in range(2 * _CLIMB_BATCH + 3)]
+    diag_g = np.diag([1.0, 2.0, 3.0])
+    diag_c = np.diag([1.0, 0.5, 2.0])
+    # first, so that a budget of 1 reports it: 0 < ||ab - ba|| < 1e-12
+    pairs[0] = (diag_g + 1e-14 * np.eye(3, k=1), diag_c)
+    pairs[2] = (np.zeros((3, 3)), pairs[2][1])            # ||g|| = 0
+    pairs[5] = (diag_g, diag_c)                           # ab = ba exactly
+    pairs[_CLIMB_BATCH + 1] = (pairs[_CLIMB_BATCH + 1][0],
+                               np.zeros((3, 3)))          # ||c*c|| = 0
+    pairs[-4] = (ginibre(rng, 2), ginibre(rng, 2))        # another shape
+    for budget in (1, _CLIMB_BATCH, _CLIMB_BATCH + 1, len(pairs), 100):
+        got = commutator_sqrt_search(3, 0, budget, pair_stream=iter(pairs))
+        want = _sequential_search(3, 0, budget, pair_stream=iter(pairs))
+        assert _strip_runtime(got) == _strip_runtime(want), budget
+        assert got.samples == min(budget, len(pairs))
+
+
+def test_batched_stream_keeps_the_finiteness_check():
+    bad = np.eye(2)
+    bad[0, 1] = np.inf
+    pairs = [(np.eye(2), np.eye(2)), (bad, np.eye(2))]
+    with pytest.raises(matcalc.MatrixError):
+        commutator_sqrt_search(2, 0, 5, pair_stream=iter(pairs))
+    # a budget that stops before the bad pair never looks at it
+    rep = commutator_sqrt_search(2, 0, 1, pair_stream=iter(pairs))
+    assert rep.samples == 1
+
