@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import matcalc
-from .matcalc import TolerancePolicy
+from .matcalc import DEFAULT_POLICY, TolerancePolicy
 from .ncpoly import evaluate, homogeneity
 from .relations import Assignment, NormBound, Relation, describe, residual
 
@@ -171,7 +171,7 @@ def _tracked_bounds(relations: Sequence[Relation]) -> list[NormBound]:
 def quasicentral_approximation(
         a: Assignment, relations: Sequence[Relation],
         schedule: CompressionSchedule,
-        policy: TolerancePolicy | None = None) -> list[QuasicentralStep]:
+        policy: TolerancePolicy = DEFAULT_POLICY) -> list[QuasicentralStep]:
     """Run the smoothed-cutoff procedure with homogeneous rescaling.
 
     Every relation must be a :class:`NormBound` with a homogeneous
@@ -184,7 +184,6 @@ def quasicentral_approximation(
     ||p(y)|| = alpha^d ||p(x_u)|| never exceeds ||p(x)||, so a satisfied
     norm bound stays satisfied at every rank.
     """
-    policy = policy or matcalc.DEFAULT_POLICY
     return _steps(a, _tracked_bounds(relations), schedule, policy)
 
 
@@ -347,7 +346,7 @@ def clock_shift_norm_gap(dim: int) -> float:
 
 def residual_curves(a: Assignment, relations: Sequence[Relation],
                     schedule: CompressionSchedule, procedure: str,
-                    policy: TolerancePolicy | None = None) -> list[dict]:
+                    policy: TolerancePolicy = DEFAULT_POLICY) -> list[dict]:
     """Residuals of every relation along a schedule, as flat rows.
 
     ``procedure`` is "loewner" (the sharp cutoff with alpha fixed at 1;
@@ -356,7 +355,6 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
     ``relations`` drive the rescaling, while every relation is checked).
     Rows have keys rank, relation, residual, alpha, defect.
     """
-    policy = policy or matcalc.DEFAULT_POLICY
     if procedure == "loewner":
         if schedule.cutoff != SHARP:
             raise ValueError("the loewner procedure uses the sharp cutoff, "

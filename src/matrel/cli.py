@@ -27,10 +27,7 @@ from .approx import CompressionSchedule, residual_curves, write_residual_csv
 from .matcalc import TolerancePolicy
 from .ncpoly import ParseError
 from .relations import check_all, describe, load_assignment, load_relations
-from .verify import Ensemble, ExperimentReport, write_reports
-
-EXPERIMENT_NAMES = ("expnorm", "heinz", "monotone-sqrt", "monotone-square",
-                    "commutator", "positivity")
+from .verify import ExperimentReport, write_reports
 
 MAX_DIM = 512
 
@@ -76,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.set_defaults(run=_cmd_approx)
 
     p_exp = sub.add_parser("experiment", help="run one randomized experiment")
-    p_exp.add_argument("name", choices=EXPERIMENT_NAMES)
+    p_exp.add_argument("name", choices=verify.EXPERIMENT_NAMES)
     p_exp.add_argument("relfile", nargs="?", metavar="RELFILE",
                        help="relation file (positivity only)")
     p_exp.add_argument("--seed", type=int, required=True)
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(run=_cmd_experiment)
 
     p_rep = sub.add_parser("reproduce", help="run the fixed-seed suite")
-    p_rep.add_argument("--budget", type=int, default=20000,
+    p_rep.add_argument("--budget", type=int, default=verify.COMMUTATOR_BUDGET,
                        help="ratio evaluations per search dimension")
     p_rep.add_argument("--out", help="write JSON lines here")
     p_rep.set_defaults(run=_cmd_reproduce)
@@ -144,37 +141,6 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(args: argparse.Namespace) -> list[ExperimentReport]:
-    seed, name, dim, count = args.seed, args.name, args.dim, args.count
-    if name != "positivity":
-        if args.relfile is not None:
-            raise ValueError(f"experiment {name!r} takes no relation file")
-        if _tols(args):
-            raise ValueError(f"experiment {name!r} takes no --tol-eq/--tol-psd")
-    if name == "expnorm":
-        e = Ensemble("general", dim or 6, seed, count or 1000)
-        return [verify.exp_norm_experiment(e)]
-    if name == "heinz":
-        e = Ensemble("general", dim or 4, seed, count or 125)
-        return [verify.heinz_experiment(e)]
-    if name == "monotone-sqrt":
-        e = Ensemble("order-pair", dim or 4, seed, count or 1000)
-        return [verify.monotone_experiment(0.5, e)]
-    if name == "monotone-square":
-        e = Ensemble("order-pair", dim or 2, seed, count or 200)
-        return [verify.monotone_experiment(2.0, e)]
-    if name == "commutator":
-        return [verify.commutator_sqrt_search(dim or 4, seed,
-                                              args.budget or 20000)]
-    if args.relfile is not None:
-        text = Path(args.relfile).read_text()
-    else:
-        text = verify.DEFAULT_POSITIVITY_RELATIONS
-    dims = [dim] if dim else [2, 3, 4, 5, 6]
-    return [verify.positivity_transfer_check(
-        text, dims=dims, seed=seed, count=count or 40, policy=_policy(args))]
-
-
 def _report(reports: list[ExperimentReport], out: str | None) -> int:
     all_passed = True
     for rep in reports:
@@ -193,11 +159,22 @@ def _report(reports: list[ExperimentReport], out: str | None) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    name = args.name
     if args.dim is not None and not 1 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must lie in [1, {MAX_DIM}]")
     _require_positive(args.count, "--count")
     _require_positive(args.budget, "--budget")
-    return _report(_run_experiment(args), args.out)
+    for what, given, read in (
+            ("relation file", args.relfile is not None, name == "positivity"),
+            ("--tol-eq/--tol-psd", bool(_tols(args)), name == "positivity"),
+            ("--count", args.count is not None, name != "commutator"),
+            ("--budget", args.budget is not None, name == "commutator")):
+        if given and not read:
+            raise ValueError(f"experiment {name!r} takes no {what}")
+    text = None if args.relfile is None else Path(args.relfile).read_text()
+    report = verify.run_experiment(name, args.seed, args.dim, args.count,
+                                   args.budget, text, _policy(args))
+    return _report([report], args.out)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:

@@ -148,14 +148,14 @@ def from_spectrum(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return (v * fw) @ adjoint(v)
 
 
-def hermitian_calculus(f, a, policy: TolerancePolicy | None = None) -> np.ndarray:
+def hermitian_calculus(f, a, policy: TolerancePolicy = DEFAULT_POLICY
+                       ) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     ``f`` maps a real eigenvalue array to a real or complex array of the
     same shape.  The input must be Hermitian within ``tol_eq``; it is
     symmetrized before the eigendecomposition.
     """
-    policy = policy or DEFAULT_POLICY
     w, v = spectrum(_require_hermitian(as_matrix(a), policy))
     return from_spectrum(v, np.asarray(f(w)))
 
@@ -165,23 +165,23 @@ def matrix_exp(a) -> np.ndarray:
     return scipy.linalg.expm(as_matrix(a))
 
 
-def eigenvalues(a, policy: TolerancePolicy | None = None) -> np.ndarray:
+def eigenvalues(a, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Sorted real eigenvalues of a Hermitian matrix."""
-    policy = policy or DEFAULT_POLICY
     return spectrum_values(_require_hermitian(as_matrix(a), policy))
 
 
-def min_eigenvalue(a, policy: TolerancePolicy | None = None) -> float:
+def min_eigenvalue(a, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(eigenvalues(a, policy)[0])
 
 
-def max_eigenvalue(a, policy: TolerancePolicy | None = None) -> float:
+def max_eigenvalue(a, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Largest eigenvalue of a Hermitian matrix."""
     return float(eigenvalues(a, policy)[-1])
 
 
-def fractional_power(a, exponent, policy: TolerancePolicy | None = None) -> np.ndarray:
+def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY
+                     ) -> np.ndarray:
     """Matrix power with a rational or real exponent.
 
     Integer exponents use repeated multiplication and work for any square
@@ -190,7 +190,6 @@ def fractional_power(a, exponent, policy: TolerancePolicy | None = None) -> np.n
     tolerance band below zero are clamped to zero before the power is
     taken.  Exponent 0 gives the identity.
     """
-    policy = policy or DEFAULT_POLICY
     m = as_matrix(a)
     t = Fraction(exponent).limit_denominator(10**12) if not isinstance(
         exponent, Fraction) else exponent

@@ -263,7 +263,8 @@ def homogeneity(p: NcPolynomial) -> Fraction | None:
 # Evaluation
 
 def evaluate(p: NcPolynomial, assignment,
-             policy: matcalc.TolerancePolicy | None = None) -> np.ndarray:
+             policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
+             ) -> np.ndarray:
     """Evaluate at a mapping from variable names to square matrices.
 
     Every variable that occurs in a monomial of ``p`` must be assigned,
@@ -273,7 +274,6 @@ def evaluate(p: NcPolynomial, assignment,
     evaluates to the zero matrix once a dimension can be inferred from
     the assignment.
     """
-    policy = policy or matcalc.DEFAULT_POLICY
     occurring: list[str] = []
     for mono in p.monomials:
         for name, _, _ in mono.word:

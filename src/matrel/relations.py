@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import matcalc
-from .matcalc import TolerancePolicy
+from .matcalc import DEFAULT_POLICY, TolerancePolicy
 from .ncpoly import (
     KINDS,
     NcPolynomial,
@@ -241,7 +241,7 @@ class Assignment:
 
 
 def residual(rel: Relation, a: Assignment,
-             policy: TolerancePolicy | None = None) -> Verdict:
+             policy: TolerancePolicy = DEFAULT_POLICY) -> Verdict:
     """Check one relation against an assignment.
 
     Relations whose margin is an eigenvalue bound need a Hermitian
@@ -250,14 +250,18 @@ def residual(rel: Relation, a: Assignment,
     degrades to a quantified failure rather than an exception.  An
     evaluation that overflows (``x^4000``, ``exp`` of a large real part)
     fails with margin -inf and residual inf: the assignment is finite,
-    so a non-finite entry can only come from the evaluation.
+    so a non-finite entry can only come from the evaluation.  So does a
+    fractional power of a matrix that is not Hermitian or not positive,
+    with the error's text as the detail.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _residual(rel, a, policy or matcalc.DEFAULT_POLICY)
+            return _residual(rel, a, policy)
     except matcalc.NonFiniteError:
         return Verdict(False, -math.inf, math.inf,
                        "evaluation overflowed to non-finite entries")
+    except (matcalc.NotHermitianError, matcalc.NegativeSpectrumError) as err:
+        return Verdict(False, -math.inf, math.inf, str(err))
 
 
 def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
@@ -343,7 +347,7 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
 
 
 def check_all(relations: Sequence[Relation], a: Assignment,
-              policy: TolerancePolicy | None = None) -> Verdict:
+              policy: TolerancePolicy = DEFAULT_POLICY) -> Verdict:
     """Check every relation; the aggregate margin is the worst one."""
     parts = tuple(residual(rel, a, policy) for rel in relations)
     if not parts:
@@ -369,7 +373,8 @@ def product_rep(assignments: Sequence[Assignment]) -> Assignment:
         for name in order})
 
 
-def essential_dim(a: Assignment, policy: TolerancePolicy | None = None) -> int:
+def essential_dim(a: Assignment, policy: TolerancePolicy = DEFAULT_POLICY
+                  ) -> int:
     """Dimension of the joint essential subspace of the assignment.
 
     This is the rank of the stacked columns of every matrix and its
@@ -377,7 +382,6 @@ def essential_dim(a: Assignment, policy: TolerancePolicy | None = None) -> int:
     their adjoints.  Singular values at or below ``tol_eq * scale`` do
     not count.
     """
-    policy = policy or matcalc.DEFAULT_POLICY
     stacked = np.hstack([
         np.concatenate([a[name], matcalc.adjoint(a[name])], axis=1)
         for name in a.names()])
@@ -657,7 +661,3 @@ def _format_entry(z: complex) -> str:
 
 def load_assignment(path) -> Assignment:
     return parse_assignment(Path(path).read_text())
-
-
-def save_assignment(path, a: Assignment) -> None:
-    Path(path).write_text(format_assignment(a))

@@ -36,13 +36,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import matcalc
-from .matcalc import TolerancePolicy
+from .matcalc import DEFAULT_POLICY, TolerancePolicy
 from .relations import (
     Assignment,
     check_all,
@@ -156,18 +156,8 @@ class ExperimentReport:
         return self.threshold is None or self.max_violation <= self.threshold
 
     def to_json(self) -> str:
-        payload = {
-            "id": self.id,
-            "params": self.params,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "worst_seed": self.worst_seed,
-            "runtime_ms": self.runtime_ms,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "stats": self.stats,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({**asdict(self), "passed": self.passed},
+                          sort_keys=True)
 
 
 def write_reports(path, reports: Iterable[ExperimentReport]) -> None:
@@ -176,6 +166,33 @@ def write_reports(path, reports: Iterable[ExperimentReport]) -> None:
     with Path(path).open("w") as fh:
         for rep in reports:
             fh.write(rep.to_json() + "\n")
+
+
+def _worst(violations: Iterable[float]) -> tuple[float, int]:
+    """The largest violation and the first index reaching it (-inf and 0
+    when there is none); NaN never wins."""
+    worst, worst_index = -math.inf, 0
+    for i, violation in enumerate(violations):
+        if violation > worst:
+            worst, worst_index = violation, i
+    return worst, worst_index
+
+
+def _ensemble_report(id: str, e: Ensemble, start: float,
+                     worst: tuple[float, int], threshold: float | None,
+                     stats: dict | None = None, **params) -> ExperimentReport:
+    """The report of a run over ``e`` whose worst sample is ``worst``."""
+    violation, index = worst
+    return ExperimentReport(
+        id=id,
+        params={"dim": e.dim, "seed": e.seed, "count": e.count, **params},
+        samples=e.count,
+        max_violation=violation,
+        worst_seed={"seed": e.seed, "index": index},
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+        threshold=threshold,
+        stats=stats or {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +209,17 @@ def exp_norm_experiment(e: Ensemble) -> ExperimentReport:
     relative.
     """
     start = time.perf_counter()
-    worst = -math.inf
-    worst_index = 0
-    for i in range(e.count):
+
+    def violation(i: int) -> float:
         a = e.draw(i, kind="general")
         na = matcalc.op_norm(matcalc.matrix_exp(a))
         w, v = matcalc.spectrum(a)
         nh = matcalc.op_norm(matcalc.from_spectrum(v, np.exp(w)))
-        scale = max(1.0, na, nh)
-        violation = (na - nh) / scale
-        if violation > worst:
-            worst, worst_index = violation, i
-    return ExperimentReport(
-        id=f"expnorm-d{e.dim}",
-        params={"dim": e.dim, "seed": e.seed, "count": e.count},
-        samples=e.count,
-        max_violation=worst,
-        worst_seed={"seed": e.seed, "index": worst_index},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        threshold=EXP_NORM_THRESHOLD,
-    )
+        return (na - nh) / max(1.0, na, nh)
+
+    return _ensemble_report(f"expnorm-d{e.dim}", e, start,
+                            _worst(map(violation, range(e.count))),
+                            EXP_NORM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +240,8 @@ def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
     in the stats.
     """
     start = time.perf_counter()
-    worst = -math.inf
-    worst_index = 0
-    worst_nu = None
-    endpoint_gap = 0.0
-    for i in range(e.count):
+
+    def violations(i: int) -> list[float]:
         a = e.draw(i, role=0, kind="positive")
         b = e.draw(i, role=1, kind="positive")
         x = e.draw(i, role=2, kind="general")
@@ -246,29 +251,26 @@ def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
         wb = np.clip(wb, 0.0, None)
         bound = matcalc.op_norm(a @ x + x @ b)
         scale = max(1.0, bound)
-        for nu in nus:
-            mixed = (matcalc.from_spectrum(va, wa ** nu) @ x
-                     @ matcalc.from_spectrum(vb, wb ** (1.0 - nu))
-                     + matcalc.from_spectrum(va, wa ** (1.0 - nu)) @ x
-                     @ matcalc.from_spectrum(vb, wb ** nu))
-            norm = matcalc.op_norm(mixed)
-            violation = (norm - bound) / scale
-            if nu in (0.0, 1.0):
-                endpoint_gap = max(endpoint_gap, abs(norm - bound) / scale)
-            if violation > worst:
-                worst, worst_index, worst_nu = violation, i, nu
-    return ExperimentReport(
-        id=f"heinz-d{e.dim}",
-        params={"dim": e.dim, "seed": e.seed, "count": e.count,
-                "nus": list(nus)},
-        samples=e.count,
-        max_violation=worst,
-        worst_seed={"seed": e.seed, "index": worst_index},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        threshold=HEINZ_THRESHOLD,
+
+        def mixed(nu: float) -> np.ndarray:
+            return (matcalc.from_spectrum(va, wa ** nu) @ x
+                    @ matcalc.from_spectrum(vb, wb ** (1.0 - nu))
+                    + matcalc.from_spectrum(va, wa ** (1.0 - nu)) @ x
+                    @ matcalc.from_spectrum(vb, wb ** nu))
+
+        return [(matcalc.op_norm(mixed(nu)) - bound) / scale for nu in nus]
+
+    cells = [(i, nu) for i in range(e.count) for nu in nus]
+    flat = [v for i in range(e.count) for v in violations(i)]
+    worst, k = _worst(flat)
+    index, worst_nu = cells[k] if cells else (0, None)
+    endpoint_gap = max([0.0] + [abs(v) for (_, nu), v in zip(cells, flat)
+                                if nu in (0.0, 1.0)])
+    return _ensemble_report(
+        f"heinz-d{e.dim}", e, start, (worst, index), HEINZ_THRESHOLD,
         stats={"worst_nu": worst_nu, "endpoint_gap": endpoint_gap,
                "grid": [float(nu) for nu in nus]},
-    )
+        nus=list(nus))
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +290,18 @@ def monotone_experiment(power: float, e: Ensemble) -> ExperimentReport:
     if not power > 0:
         raise ValueError("the power must be positive")
     start = time.perf_counter()
-    worst = -math.inf
-    worst_index = 0
-    for i in range(e.count):
+
+    def violation(i: int) -> float:
         x, y = e.draw(i, kind="order-pair")
         fx = _psd_power(x, power)
         fy = _psd_power(y, power)
         low = float(matcalc.spectrum_values(fy - fx)[0])
-        scale = max(1.0, matcalc.op_norm(fy))
-        violation = -low / scale
-        if violation > worst:
-            worst, worst_index = violation, i
-    threshold = MONOTONE_THRESHOLD if 0 < power <= 1 else None
-    return ExperimentReport(
-        id=f"monotone-p{power:g}-d{e.dim}",
-        params={"dim": e.dim, "seed": e.seed, "count": e.count,
-                "power": power},
-        samples=e.count,
-        max_violation=worst,
-        worst_seed={"seed": e.seed, "index": worst_index},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        threshold=threshold,
-    )
+        return -low / max(1.0, matcalc.op_norm(fy))
+
+    return _ensemble_report(
+        f"monotone-p{power:g}-d{e.dim}", e, start,
+        _worst(map(violation, range(e.count))),
+        MONOTONE_THRESHOLD if 0 < power <= 1 else None, power=power)
 
 
 def _psd_power(m: np.ndarray, t: float) -> np.ndarray:
@@ -339,43 +331,27 @@ def commutator_ratio(a: np.ndarray, b: np.ndarray) -> float | None:
     return _ratios(a[None], b[None])[0]
 
 
-def _rows_where(mask: np.ndarray, *stacks: np.ndarray) -> tuple:
-    """The rows of each stack where ``mask`` holds."""
-    if mask.all():
-        return stacks
-    return tuple(s[mask] for s in stacks)
-
-
 def _ratios(a: np.ndarray, b: np.ndarray) -> list[float | None]:
     """:func:`commutator_ratio` row by row over (K, n, n) stacks of a
     and b, with one LAPACK call per step for all rows."""
-    values: list[float | None] = [None] * len(a)
     den = matcalc.op_norms(a @ b - b @ a)
-    rows, a, b, den = _rows_where(den >= COMMUTATOR_DEGENERATE,
-                                  np.arange(len(a)), a, b, den)
-    if len(rows):
-        w, v = matcalc.spectrum(b)
-        s = matcalc.from_spectrum(v, (np.clip(w, 0.0, None) ** 0.5)[:, None, :])
-        num = matcalc.op_norms(a @ s - s @ a)
-        for row, x, d in zip(rows.tolist(), num.tolist(), den.tolist()):
-            values[row] = x / math.sqrt(d)
-    return values
+    w, v = matcalc.spectrum(b)
+    s = matcalc.from_spectrum(v, (np.clip(w, 0.0, None) ** 0.5)[:, None, :])
+    num = matcalc.op_norms(a @ s - s @ a)
+    return [x / math.sqrt(d) if d >= COMMUTATOR_DEGENERATE else None
+            for x, d in zip(num.tolist(), den.tolist())]
 
 
 def _pair_ratios(g: np.ndarray, c: np.ndarray) -> list[float | None]:
     """Ratios of the normalized pairs a = g/||g||, b = c*c/||c*c|| over
-    (K, n, n) stacks of (g, c); None where ||g|| or ||c*c|| is 0 or the
-    commutator is degenerate."""
-    values: list[float | None] = [None] * len(g)
+    (K, n, n) stacks of (g, c); None where ||g|| or ||c*c|| is 0 (that
+    matrix stays 0, so the pair commutes) or the commutator is
+    degenerate."""
     ng = matcalc.op_norms(g)
-    rows, g, c, ng = _rows_where(ng != 0, np.arange(len(g)), g, c, ng)
     b = matcalc.adjoint(c) @ c
     nb = matcalc.op_norms(b)
-    rows, g, b, ng, nb = _rows_where(nb != 0, rows, g, b, ng, nb)
-    found = _ratios(g / ng[:, None, None], b / nb[:, None, None])
-    for row, value in zip(rows.tolist(), found):
-        values[row] = value
-    return values
+    return _ratios(g / np.where(ng == 0, 1.0, ng)[:, None, None],
+                   b / np.where(nb == 0, 1.0, nb)[:, None, None])
 
 
 def commutator_sqrt_search(dim: int, seed: int, budget: int,
@@ -420,32 +396,20 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
             best_pair = (g.copy(), c.copy())
             trace.append((evals, best))
 
-    def flush(chunk) -> None:
-        nonlocal evals
-        values = _pair_ratios(np.stack([g for g, _ in chunk]),
-                              np.stack([c for _, c in chunk]))
-        for (g, c), value in zip(chunk, values):
-            evals += 1
-            consider(value, g, c, evals - 1)  # the pair's stream index
-
+    restarts = 0
     if pair_stream is not None:
+        pairs = ((np.asarray(g, dtype=complex), np.asarray(c, dtype=complex))
+                 for g, c in itertools.islice(pair_stream, budget))
         # Chunks of consecutive pairs with equal shapes, no speculation.
-        chunk: list[tuple[np.ndarray, np.ndarray]] = []
-        for g, c in itertools.islice(pair_stream, budget):
-            g = np.asarray(g, dtype=complex)
-            c = np.asarray(c, dtype=complex)
-            if chunk and (len(chunk) == _CLIMB_BATCH
-                          or (g.shape, c.shape) != (chunk[0][0].shape,
-                                                    chunk[0][1].shape)):
-                flush(chunk)
-                chunk = []
-            chunk.append((g, c))
-        if chunk:
-            flush(chunk)
-        mode = "stream"
-        restarts = 0
+        for _, run in itertools.groupby(
+                pairs, key=lambda pair: (pair[0].shape, pair[1].shape)):
+            while chunk := list(itertools.islice(run, _CLIMB_BATCH)):
+                values = _pair_ratios(np.stack([g for g, _ in chunk]),
+                                      np.stack([c for _, c in chunk]))
+                for (g, c), value in zip(chunk, values):
+                    evals += 1
+                    consider(value, g, c, evals - 1)  # the pair's stream index
     else:
-        restarts = 0
         while evals < budget:
             rng = stream(seed, restarts, 0)
             pair = np.stack([ginibre(rng, dim), ginibre(rng, dim)])
@@ -455,8 +419,6 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
             if current is None:
                 current = -math.inf
             for scale in _CLIMB_SCALES:
-                if evals >= budget:
-                    break
                 moves = [(t, i, j, delta)
                          for t in (0, 1) for i in range(dim) for j in range(dim)
                          for delta in (scale, -scale, 1j * scale, -1j * scale)]
@@ -478,31 +440,26 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
                                     if value is not None
                                     and value > current + _CLIMB_MIN_GAIN),
                                    None)
+                        taken = len(batch) if hit is None else hit + 1
+                        evals += taken
+                        done += taken
                         if hit is None:
-                            evals += len(batch)
-                            done += len(batch)
                             pair = work
                         else:
-                            evals += hit + 1
-                            done += hit + 1
-                            pair = cands[hit]
-                            current = values[hit]
+                            pair, current = cands[hit], values[hit]
                             consider(current, pair[0], pair[1], restarts)
                             improved = True
             restarts += 1
-        mode = "climb"
 
     stats: dict = {
-        "mode": mode,
+        "mode": "climb" if pair_stream is None else "stream",
         "restarts": restarts,
         "trace": [[int(k), float(v)] for k, v in trace],
     }
     if best_pair is not None:
-        g, c = best_pair
-        stats["best_g"] = [[float(z.real) for z in row] for row in g]
-        stats["best_g_imag"] = [[float(z.imag) for z in row] for row in g]
-        stats["best_c"] = [[float(z.real) for z in row] for row in c]
-        stats["best_c_imag"] = [[float(z.imag) for z in row] for row in c]
+        for name, m in zip("gc", best_pair):
+            stats[f"best_{name}"] = m.real.tolist()
+            stats[f"best_{name}_imag"] = m.imag.tolist()
     return ExperimentReport(
         id=f"commutator-d{dim}",
         params={"dim": dim, "seed": seed, "budget": budget},
@@ -532,7 +489,7 @@ rel x^(1/2) (x + y) x^(1/2) >= 0;
 
 def positivity_transfer_check(relations_text: str, dims: Sequence[int],
                               seed: int, count: int,
-                              policy: TolerancePolicy | None = None
+                              policy: TolerancePolicy = DEFAULT_POLICY
                               ) -> ExperimentReport:
     """Check a relation file against random kind-respecting assignments.
 
@@ -545,29 +502,19 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     """
     start = time.perf_counter()
     variables, rels = parse_relations(relations_text)
-    names = list(variables)
-    worst = -math.inf
-    worst_index = 0
-    worst_dim = dims[0]
-    total = 0
-    for dim in dims:
-        for i in range(count):
-            mats = {}
-            for role, name in enumerate(names):
-                kind = variables[name].kind
-                sampler_kind = kind if kind in _SAMPLERS else "general"
-                mats[name] = _SAMPLERS[sampler_kind](
-                    stream(seed, i, role), dim)
-            a = Assignment(mats)
-            verdict = check_all(rels, a, policy)
-            total += 1
-            violation = verdict.residual / max(1.0, a.max_norm())
-            if violation > worst:
-                worst, worst_index, worst_dim = violation, i, dim
+
+    def violation(dim: int, i: int) -> float:
+        a = Assignment({name: _SAMPLERS[var.kind](stream(seed, i, role), dim)
+                        for role, (name, var) in enumerate(variables.items())})
+        return check_all(rels, a, policy).residual / max(1.0, a.max_norm())
+
+    cells = [(dim, i) for dim in dims for i in range(count)]
+    worst, k = _worst(violation(dim, i) for dim, i in cells)
+    worst_dim, worst_index = cells[k] if cells else (dims[0], 0)
     return ExperimentReport(
         id="positivity",
         params={"dims": list(dims), "seed": seed, "count": count},
-        samples=total,
+        samples=len(cells),
         max_violation=worst,
         worst_seed={"seed": seed, "index": worst_index, "dim": worst_dim},
         runtime_ms=(time.perf_counter() - start) * 1e3,
@@ -606,25 +553,57 @@ REPRODUCTION_SEEDS = {
 }
 
 
-def run_reproduction(commutator_budget: int = 20000) -> list[ExperimentReport]:
+# The names ``matrel experiment`` takes, in the order it lists them.
+EXPERIMENT_NAMES = ("expnorm", "heinz", "monotone-sqrt", "monotone-square",
+                    "commutator", "positivity")
+COMMUTATOR_BUDGET = 20000
+POSITIVITY_DIMS = (2, 3, 4, 5, 6)
+
+
+def run_experiment(name: str, seed: int, dim: int | None = None,
+                   count: int | None = None, budget: int | None = None,
+                   relations_text: str | None = None,
+                   policy: TolerancePolicy = DEFAULT_POLICY
+                   ) -> ExperimentReport:
+    """Run the experiment ``name`` (one of :data:`EXPERIMENT_NAMES`).
+
+    An unset ``dim``, ``count`` or ``budget`` takes the experiment's
+    default.  Only the commutator search reads ``budget``, and it has no
+    ``count``; positivity alone reads ``relations_text`` (default
+    :data:`DEFAULT_POSITIVITY_RELATIONS`) and ``policy``, and runs every
+    dimension of :data:`POSITIVITY_DIMS` unless given one.
+    """
+    if name == "expnorm":
+        return exp_norm_experiment(
+            Ensemble("general", dim or 6, seed, count or 1000))
+    if name == "heinz":
+        return heinz_experiment(
+            Ensemble("general", dim or 4, seed, count or 125))
+    if name == "monotone-sqrt":
+        return monotone_experiment(
+            0.5, Ensemble("order-pair", dim or 4, seed, count or 1000))
+    if name == "monotone-square":
+        return monotone_experiment(
+            2.0, Ensemble("order-pair", dim or 2, seed, count or 200))
+    if name == "commutator":
+        return commutator_sqrt_search(dim or 4, seed,
+                                      budget or COMMUTATOR_BUDGET)
+    if name == "positivity":
+        if relations_text is None:
+            relations_text = DEFAULT_POSITIVITY_RELATIONS
+        return positivity_transfer_check(
+            relations_text, dims=[dim] if dim else list(POSITIVITY_DIMS),
+            seed=seed, count=count or 40, policy=policy)
+    raise ValueError(f"unknown experiment {name!r}")
+
+
+def run_reproduction(commutator_budget: int = COMMUTATOR_BUDGET
+                     ) -> list[ExperimentReport]:
     """Run the whole inequality suite with fixed default seeds."""
-    reports = [
-        exp_norm_experiment(
-            Ensemble("general", 6, REPRODUCTION_SEEDS["expnorm"], 1000)),
-    ]
-    for dim in (3, 4, 5, 6):
-        reports.append(heinz_experiment(
-            Ensemble("general", dim, REPRODUCTION_SEEDS["heinz"], 125)))
-    reports.append(monotone_experiment(
-        0.5, Ensemble("order-pair", 4, REPRODUCTION_SEEDS["monotone_sqrt"],
-                      1000)))
-    reports.append(monotone_experiment(
-        2.0, Ensemble("order-pair", 2, REPRODUCTION_SEEDS["monotone_square"],
-                      200)))
-    for dim in (2, 3, 4, 5, 6):
-        reports.append(commutator_sqrt_search(
-            dim, REPRODUCTION_SEEDS["commutator"], commutator_budget))
-    reports.append(positivity_transfer_check(
-        DEFAULT_POSITIVITY_RELATIONS, dims=(2, 3, 4, 5, 6),
-        seed=REPRODUCTION_SEEDS["positivity"], count=40))
-    return reports
+    plan = [("expnorm", None), *(("heinz", dim) for dim in (3, 4, 5, 6)),
+            ("monotone-sqrt", None), ("monotone-square", None),
+            *(("commutator", dim) for dim in (2, 3, 4, 5, 6)),
+            ("positivity", None)]
+    return [run_experiment(name, REPRODUCTION_SEEDS[name.replace("-", "_")],
+                           dim, budget=commutator_budget)
+            for name, dim in plan]

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from matrel import verify
 from matrel.cli import build_parser, main
 from matrel.relations import Assignment, format_assignment
 from matrel.approx import model
+from matrel.verify import Ensemble
 
 IDEM = "var x;\nrel x^2 - x = 0;\n"
 
@@ -112,6 +114,18 @@ def test_unused_tolerance_flags_are_usage_errors(tmp_path, capsys):
                  "--count", "2", "--tol-eq", "1e-6", "--tol-psd", "1e-6"]) == 0
 
 
+
+def test_flags_an_experiment_does_not_read_are_usage_errors(capsys):
+    for name in ("expnorm", "heinz", "monotone-sqrt", "monotone-square",
+                 "positivity"):
+        assert main(["experiment", name, "--seed", "1", "--dim", "2",
+                     "--count", "2", "--budget", "7"]) == 2
+        assert "--budget" in capsys.readouterr().err
+    for count in ("5", "999"):
+        assert main(["experiment", "commutator", "--seed", "1", "--dim", "2",
+                     "--budget", "50", "--count", count]) == 2
+        assert "--count" in capsys.readouterr().err
+
 def test_check_overflow_is_a_failing_verdict(tmp_path, capsys):
     rel = _write(tmp_path, "big.rel",
                  "var x hermitian;\nrel norm(x^4000) <= 1;\n")
@@ -123,6 +137,21 @@ def test_check_overflow_is_a_failing_verdict(tmp_path, capsys):
     assert captured.err == ""
     assert "-inf" in captured.out and "unsatisfied" in captured.out
 
+
+
+def test_fractional_power_of_a_bad_matrix_fails_check_and_experiment(
+        tmp_path, capsys):
+    rel = _write(tmp_path, "root.rel", "var x hermitian;\nrel x^(1/2) >= 0;\n")
+    for name, m in (("negative.mat", np.array([[-1.0]])),
+                    ("nilpotent.mat", np.array([[0.0, 1.0], [0.0, 0.0]]))):
+        assert main(["check", rel, _mat_file(tmp_path, name, {"x": m})]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "-inf" in captured.out and "unsatisfied" in captured.out
+    assert main(["experiment", "positivity", rel, "--seed", "1", "--dim", "3",
+                 "--count", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "FAIL positivity" in captured.out
 
 def test_approx_table_and_csv(tmp_path, capsys):
     rel, mat = _torus_files(tmp_path)
@@ -152,6 +181,40 @@ def test_experiment_writes_jsonl(tmp_path, capsys):
     assert data["id"] == "expnorm-d4"
     assert data["samples"] == 20
 
+
+
+# Each experiment name's flags for a small run at seed 5, and the direct
+# call that the run must equal.
+_DIRECT_CALLS = {
+    "expnorm": (["--dim", "3", "--count", "4"],
+                lambda: verify.exp_norm_experiment(Ensemble("general", 3, 5, 4))),
+    "heinz": (["--dim", "2", "--count", "3"],
+              lambda: verify.heinz_experiment(Ensemble("general", 2, 5, 3))),
+    "monotone-sqrt": (["--dim", "3", "--count", "4"],
+                      lambda: verify.monotone_experiment(
+                          0.5, Ensemble("order-pair", 3, 5, 4))),
+    "monotone-square": (["--dim", "2", "--count", "6"],
+                        lambda: verify.monotone_experiment(
+                            2.0, Ensemble("order-pair", 2, 5, 6))),
+    "commutator": (["--dim", "2", "--budget", "40"],
+                   lambda: verify.commutator_sqrt_search(2, 5, 40)),
+    "positivity": (["--dim", "2", "--count", "3"],
+                   lambda: verify.positivity_transfer_check(
+                       verify.DEFAULT_POSITIVITY_RELATIONS, dims=[2], seed=5,
+                       count=3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIRECT_CALLS))
+def test_experiment_command_matches_direct_call(tmp_path, capsys, name):
+    flags, direct = _DIRECT_CALLS[name]
+    out = tmp_path / "rep.jsonl"
+    assert main(["experiment", name, "--seed", "5", *flags,
+                 "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads(direct().to_json())
+    got.pop("runtime_ms"), want.pop("runtime_ms")
+    assert got == want
 
 def test_experiment_commutator_is_exploratory(capsys):
     code = main(["experiment", "commutator", "--seed", "7", "--dim", "2",

@@ -203,6 +203,21 @@ def test_overflowing_evaluation_is_a_failing_verdict():
         assert "overflow" in part.detail
 
 
+
+def test_fractional_power_of_a_bad_matrix_is_a_failing_verdict():
+    _, rels = parse_relations("var x hermitian;\nrel x^(1/2) >= 0;\n")
+    negative = Assignment({"x": np.array([[-1.0]])})
+    nilpotent = Assignment({"x": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    for a, hermitian, words in ((negative, True, "eigenvalue -1.000e+00"),
+                                (nilpotent, False, "not Hermitian")):
+        verdict = check_all(rels, a, POLICY)
+        assert not verdict.satisfied
+        assert verdict.parts[0].satisfied is hermitian
+        power = verdict.parts[1]
+        assert not power.satisfied
+        assert power.margin == -np.inf and power.residual == np.inf
+        assert words in power.detail
+
 def test_scale_grows_with_assignment():
     # The same 1e-4 idempotency defect passes once a large bystander
     # variable raises the tolerance scale, and fails at scale one.

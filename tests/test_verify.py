@@ -25,6 +25,7 @@ from matrel.verify import (
     heinz_experiment,
     monotone_experiment,
     positivity_transfer_check,
+    run_reproduction,
     soft_torus_relations,
     stream,
     write_reports,
@@ -216,6 +217,25 @@ def test_report_json_and_file_output(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[1])["passed"] is False
 
+
+
+def test_reproduction_suite_plan():
+    reports = run_reproduction(commutator_budget=1)
+    grid = [round(0.1 * k, 1) for k in range(11)]
+    expected = [
+        ("expnorm-d6", {"dim": 6, "seed": 101, "count": 1000}),
+        *((f"heinz-d{d}", {"dim": d, "seed": 202, "count": 125, "nus": grid})
+          for d in (3, 4, 5, 6)),
+        ("monotone-p0.5-d4", {"dim": 4, "seed": 303, "count": 1000,
+                              "power": 0.5}),
+        ("monotone-p2-d2", {"dim": 2, "seed": 404, "count": 200,
+                            "power": 2.0}),
+        *((f"commutator-d{d}", {"dim": d, "seed": 505, "budget": 1})
+          for d in (2, 3, 4, 5, 6)),
+        ("positivity", {"dims": [2, 3, 4, 5, 6], "seed": 606, "count": 40}),
+    ]
+    assert [(r.id, r.params) for r in reports] == expected
+    assert all(r.passed for r in reports)
 
 # ---------------------------------------------------------------------------
 # The batched commutator search against the one-at-a-time search it
