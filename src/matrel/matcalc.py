@@ -122,7 +122,25 @@ def hermitian_defect(m: np.ndarray) -> float:
     return op_norm(m - adjoint(m))
 
 
+def hermitian_defect_bound(m: np.ndarray) -> float:
+    """An upper bound of :func:`hermitian_defect` at a fraction of its cost:
+    the largest absolute row sum of m - m*.
+
+    That difference is skew-Hermitian, so its largest row and column sums
+    agree and bound its operator norm.  Unlike a Frobenius norm, the bound
+    squares nothing, so it cannot underflow to 0 below a nonzero defect.
+    A caller that finds it at most half of a slack knows the defect is
+    within that slack, with room for the rounding of both computations,
+    and skips the SVD.  It is inf or NaN when m - m* overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(m - adjoint(m)).sum(axis=-1).max(initial=0.0))
+
+
 def _require_hermitian(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
+    # The slack tol_eq * scale is at least tol_eq, since the scale is >= 1.
+    if hermitian_defect_bound(m) <= policy.tol_eq / 2:
+        return m
     defect = hermitian_defect(m)
     if defect > policy.tol_eq * policy.scale(m):
         raise NotHermitianError(
@@ -199,11 +217,13 @@ def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY
             raise ValueError("negative powers are not supported")
         return np.linalg.matrix_power(m, n)
     w, v = spectrum(_require_hermitian(m, policy))
-    floor = -policy.tol_psd * policy.scale(_hermitian_part(m))
-    if w[0] < floor:
-        raise NegativeSpectrumError(
-            f"fractional power of a matrix with eigenvalue {w[0]:.3e} "
-            f"below the positivity tolerance {floor:.3e}")
+    # The floor is negative, so only a negative eigenvalue can be below it.
+    if w[0] < 0:
+        floor = -policy.tol_psd * policy.scale(_hermitian_part(m))
+        if w[0] < floor:
+            raise NegativeSpectrumError(
+                f"fractional power of a matrix with eigenvalue {w[0]:.3e} "
+                f"below the positivity tolerance {floor:.3e}")
     return from_spectrum(v, np.clip(w, 0.0, None) ** float(t))
 
 

@@ -303,14 +303,21 @@ def evaluate(p: NcPolynomial, assignment,
     if dim is None:
         raise PolyError("cannot infer a dimension from an empty assignment")
     acc = np.zeros((dim, dim), dtype=complex)
+    # Each distinct fractional factor costs a spectral decomposition, so
+    # it is computed once per call; nothing is kept across calls.
+    fractional: dict[Factor, np.ndarray] = {}
     for mono in p.monomials:
         term = np.eye(dim, dtype=complex)
-        for name, star, exp in mono.word:
+        for factor in mono.word:
+            name, star, exp = factor
             base = matcalc.adjoint(mats[name]) if star else mats[name]
             if exp.denominator == 1:
                 powered = np.linalg.matrix_power(base, int(exp))
             else:
-                powered = matcalc.fractional_power(base, exp, policy)
+                if factor not in fractional:
+                    fractional[factor] = matcalc.fractional_power(
+                        base, exp, policy)
+                powered = fractional[factor]
             term = term @ powered
         acc += mono.coeff * term
     return acc

@@ -246,8 +246,9 @@ def residual(rel: Relation, a: Assignment,
 
     Relations whose margin is an eigenvalue bound need a Hermitian
     matrix; when the evaluated matrix is not Hermitian within tolerance,
-    the margin is the negated Hermitian defect instead, so the verdict
-    degrades to a quantified failure rather than an exception.  An
+    the margin is the equality slack minus the Hermitian defect instead,
+    so the verdict degrades to a quantified failure rather than an
+    exception.  An
     evaluation that overflows (``x^4000``, ``exp`` of a large real part)
     fails with margin -inf and residual inf: the assignment is finite,
     so a non-finite entry can only come from the evaluation.  So does a
@@ -270,11 +271,19 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
     eq_slack = policy.tol_eq * scale
     psd_slack = policy.tol_psd * scale
 
-    def eig_margin(m: np.ndarray) -> tuple[float, str]:
-        defect = matcalc.hermitian_defect(m)
-        if defect > eq_slack:
-            return -defect, f"not self-adjoint, defect {defect:.3e}"
-        return float(matcalc.spectrum_values(m)[0]), ""
+    def eig_margin(m: np.ndarray, what: str, low_of=lambda w: w[0]
+                   ) -> tuple[float, str]:
+        """Margin and detail of ``low_of(spectrum) >= 0``.  A matrix that
+        is not self-adjoint fails by its defect beyond the equality slack;
+        the SVD that measures it is skipped when its bound is in slack.
+        A NaN bound (m overflowed) is not, and the SVD path raises."""
+        if not matcalc.hermitian_defect_bound(m) <= eq_slack / 2:
+            defect = matcalc.hermitian_defect(m)
+            if defect > eq_slack:
+                return (eq_slack - defect,
+                        f"not self-adjoint, defect {defect:.3e}")
+        low = float(low_of(matcalc.spectrum_values(m)))
+        return low + psd_slack, f"{what} {low:.6e}"
 
     match rel:
         case PolyZero(poly=p):
@@ -282,9 +291,8 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             margin = eq_slack - norm
             detail = f"||p(a)|| = {norm:.6e}"
         case PolyPositive(poly=p):
-            low, note = eig_margin(evaluate(p, a, policy))
-            margin = low + psd_slack
-            detail = note or f"min eigenvalue {low:.6e}"
+            margin, detail = eig_margin(evaluate(p, a, policy),
+                                        "min eigenvalue")
         case NormBound(poly=p, bound=c, strict=strict):
             norm = matcalc.op_norm(evaluate(p, a, policy))
             margin = c - norm if strict else c + eq_slack - norm
@@ -292,27 +300,17 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             satisfied = margin > 0 if strict else margin >= 0
             return Verdict(satisfied, margin, max(0.0, -margin), detail)
         case OperatorOrder(lesser=p, greater=q):
-            low, note = eig_margin(evaluate(q - p, a, policy))
-            margin = low + psd_slack
-            detail = note or f"min eigenvalue of gap {low:.6e}"
+            margin, detail = eig_margin(evaluate(q - p, a, policy),
+                                        "min eigenvalue of gap")
         case SelfAdjoint(var=v):
             defect = matcalc.hermitian_defect(a[v])
             margin = eq_slack - defect
             detail = f"||m - m*|| = {defect:.6e}"
         case Positive(var=v):
-            low, note = eig_margin(a[v])
-            margin = low + psd_slack
-            detail = note or f"min eigenvalue {low:.6e}"
+            margin, detail = eig_margin(a[v], "min eigenvalue")
         case Range01(var=v):
-            defect = matcalc.hermitian_defect(a[v])
-            if defect > eq_slack:
-                margin = -defect
-                detail = f"not self-adjoint, defect {defect:.3e}"
-            else:
-                w = matcalc.spectrum_values(a[v])
-                low = float(min(w[0], 1.0 - w[-1]))
-                margin = low + psd_slack
-                detail = f"distance into [0, 1]: {low:.6e}"
+            margin, detail = eig_margin(a[v], "distance into [0, 1]:",
+                                        lambda w: min(w[0], 1.0 - w[-1]))
         case Unitary(var=v):
             m0 = a[v]
             eye = np.eye(a.dim)
@@ -329,9 +327,7 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             block = matcalc.block2(
                 evaluate(px, a, policy), evaluate(py, a, policy),
                 evaluate(pz, a, policy))
-            low, note = eig_margin(block)
-            margin = low + psd_slack
-            detail = note or f"min block eigenvalue {low:.6e}"
+            margin, detail = eig_margin(block, "min block eigenvalue")
         case RealPartBound(var=v, bound=beta):
             high = float(matcalc.spectrum_values(a[v])[-1])
             margin = beta - high + psd_slack
@@ -622,17 +618,78 @@ def parse_assignment(text: str) -> Assignment:
         if name in mats:
             raise ParseError(f"variable {name!r} appears twice")
         at += 1
-        rows = []
-        for r in range(dim):
-            cells = lines[at].split()
-            if len(cells) != dim:
-                raise ParseError(
-                    f"row {r} of {name!r} has {len(cells)} entries, "
-                    f"expected {dim}")
-            rows.append([_parse_entry(c, name) for c in cells])
-            at += 1
-        mats[name] = np.array(rows, dtype=complex)
+        mats[name] = _parse_matrix(lines[at:at + dim], name)
+        at += dim
     return Assignment(mats)
+
+
+# The characters of a row whose entries all have the form of _ENTRY_RE
+# and are written in ASCII.
+_ROW_CHARS_RE = re.compile(r"[0-9.eE+\-i ]*\Z")
+
+
+def _parse_matrix(rows: list[str], name: str) -> np.ndarray:
+    """The matrix of ``name`` from its ``dim`` row lines.
+
+    A row of plain ASCII entries goes through ``complex`` in one pass.
+    Any other row sends the whole matrix through the per-entry loop,
+    which raises the same first error as always and accepts what it
+    always accepted, such as non-ASCII digits.
+    """
+    dim = len(rows)
+    m = np.empty((dim, dim), dtype=complex)
+    for r, line in enumerate(rows):
+        entries = _fast_row(line, dim)
+        if entries is None:
+            return _parse_matrix_by_entry(rows, name)
+        m[r] = entries
+    return m
+
+
+def _fast_row(line: str, dim: int) -> list[complex] | None:
+    """The entries of a row when it has ``dim`` cells, each of the form of
+    _ENTRY_RE in ASCII, else None.
+
+    With ``i`` read as ``j``, ``complex`` reads every such cell.  Of the
+    other cells made of these characters it reads only those with no
+    real part (``2j``), no imaginary part (``2``) or no imaginary digits
+    (``1+j``).  The last have ``+i`` or ``-i``.  The first two have no
+    sign between the parts, that is, no sign that neither starts the
+    cell nor follows an ``e``, while ``complex`` rejects a cell with two
+    such signs; so a row with exactly ``dim`` of them has one in each
+    cell, and one ``i`` at the end of each.
+    """
+    if (not _ROW_CHARS_RE.match(line)
+            or "+i" in line or "-i" in line):
+        return None
+    signs = line.count("+") + line.count("-")
+    leading = (line.count(" +") + line.count(" -")
+               + line.startswith(("+", "-")))
+    exponent = line.count("e+") + line.count("e-")
+    if "E" in line:
+        exponent += line.count("E+") + line.count("E-")
+    if signs - leading - exponent != dim:
+        return None
+    cells = line.replace("i", "j").split()
+    if len(cells) != dim:
+        return None
+    try:
+        return list(map(complex, cells))
+    except ValueError:
+        return None
+
+
+def _parse_matrix_by_entry(rows: list[str], name: str) -> np.ndarray:
+    dim = len(rows)
+    entries = []
+    for r, line in enumerate(rows):
+        cells = line.split()
+        if len(cells) != dim:
+            raise ParseError(
+                f"row {r} of {name!r} has {len(cells)} entries, "
+                f"expected {dim}")
+        entries.append([_parse_entry(c, name) for c in cells])
+    return np.array(entries, dtype=complex)
 
 
 def _parse_entry(cell: str, name: str) -> complex:

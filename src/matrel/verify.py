@@ -239,6 +239,8 @@ def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
     bound itself up to rounding; the per-sample endpoint gap is recorded
     in the stats.
     """
+    if not nus:
+        raise ValueError("the heinz experiment needs at least one exponent")
     start = time.perf_counter()
 
     def violations(i: int) -> list[float]:
@@ -263,7 +265,7 @@ def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
     cells = [(i, nu) for i in range(e.count) for nu in nus]
     flat = [v for i in range(e.count) for v in violations(i)]
     worst, k = _worst(flat)
-    index, worst_nu = cells[k] if cells else (0, None)
+    index, worst_nu = cells[k]
     endpoint_gap = max([0.0] + [abs(v) for (_, nu), v in zip(cells, flat)
                                 if nu in (0.0, 1.0)])
     return _ensemble_report(
@@ -500,6 +502,12 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     polynomial that can evaluate non-Hermitian or indefinite shows up as
     a genuine violation.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not dims:
+        raise ValueError("the positivity check needs at least one dimension")
+    if min(dims) < 1:
+        raise ValueError("every dimension must be at least 1")
     start = time.perf_counter()
     variables, rels = parse_relations(relations_text)
 
@@ -510,7 +518,7 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
 
     cells = [(dim, i) for dim in dims for i in range(count)]
     worst, k = _worst(violation(dim, i) for dim, i in cells)
-    worst_dim, worst_index = cells[k] if cells else (dims[0], 0)
+    worst_dim, worst_index = cells[k]
     return ExperimentReport(
         id="positivity",
         params={"dims": list(dims), "seed": seed, "count": count},

@@ -138,6 +138,18 @@ def test_check_overflow_is_a_failing_verdict(tmp_path, capsys):
     assert "-inf" in captured.out and "unsatisfied" in captured.out
 
 
+def test_check_non_self_adjoint_positivity_fails_under_a_loose_tol_psd(
+        tmp_path, capsys):
+    rel = _write(tmp_path, "pos.rel", "var x;\nrel x >= 0;\n")
+    mat = _mat_file(tmp_path, "x.mat", {"x": np.array([[1.0, 1e-6],
+                                                       [0.0, 1.0]])})
+    assert main(["check", "--tol-eq", "1e-9", "--tol-psd", "1e-3",
+                 rel, mat]) == 1
+    out = capsys.readouterr().out
+    # The margin is tol_eq - ||x - x*|| = 1e-9 - 1e-6.
+    assert "NO  -9.990000e-07" in out and "unsatisfied" in out
+
+
 
 def test_fractional_power_of_a_bad_matrix_fails_check_and_experiment(
         tmp_path, capsys):

@@ -94,6 +94,12 @@ def test_fractional_power_integer_any_matrix():
 def test_fractional_power_rejects_negative_spectrum():
     with pytest.raises(NegativeSpectrumError):
         fractional_power(np.diag([1.0, -1.0]), 0.5)
+    # The floor is -tol_psd times the norm of the Hermitian part.
+    with pytest.raises(NegativeSpectrumError) as err:
+        fractional_power(np.diag([3.0, -1.0]), 0.5)
+    assert str(err.value) == (
+        "fractional power of a matrix with eigenvalue -1.000e+00 "
+        "below the positivity tolerance -3.000e-09")
 
 
 def test_fractional_power_clamps_rounding_noise():

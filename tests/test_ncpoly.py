@@ -197,6 +197,24 @@ def test_evaluate_fractional_power():
     assert np.allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
 
 
+def test_evaluate_takes_each_fractional_factor_once_per_call(monkeypatch):
+    from matrel import matcalc
+
+    calls = []
+    power = matcalc.fractional_power
+    monkeypatch.setattr(
+        matcalc, "fractional_power",
+        lambda m, exp, policy: calls.append(exp) or power(m, exp, policy))
+    p = parse_poly("x^(1/2) y x^(1/2) + x^(1/2) + x^(3/2)", POS)
+    a = {"x": np.diag([4.0, 9.0]), "y": np.array([[0.0, 1.0], [1.0, 0.0]])}
+    out = evaluate(p, a)
+    assert sorted(calls) == [Fraction(1, 2), Fraction(3, 2)]
+    evaluate(p, a)
+    assert len(calls) == 4  # nothing is kept between calls
+    root = np.diag([2.0, 3.0])
+    assert np.allclose(out, root @ a["y"] @ root + root + root ** 3)
+
+
 def test_evaluate_star_uses_adjoint():
     m = np.array([[0.0, 2.0], [0.0, 0.0]])
     out = evaluate(parse_poly("x* x", GEN), {"x": m})

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from matrel import matcalc
 from matrel.matcalc import TolerancePolicy
 from matrel.ncpoly import ParseError, Variable, parse_poly
 from matrel.relations import (
@@ -184,6 +185,88 @@ def test_non_hermitian_value_fails_positivity_with_detail():
     assert "self-adjoint" in v.detail
 
 
+def test_non_hermitian_value_fails_positivity_when_tol_eq_is_below_tol_psd():
+    # The defect 1e-6 lies between the equality slack 1e-9 and the
+    # positivity slack 1e-3: the matrix is not self-adjoint, so every
+    # eigenvalue relation on it fails by its defect beyond tol_eq.
+    policy = TolerancePolicy(tol_eq=1e-9, tol_psd=1e-3)
+    m = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    a = _single("x", m)
+    vs = {"x": Variable("x", "general")}
+    x = parse_poly("x", vs)
+    eq_slack = 1e-9 * a.scale()
+    defect = matcalc.hermitian_defect(m)
+    for rel in (Positive("x"), Range01("x"), PolyPositive(x),
+                OperatorOrder(x - x, x), BlockPositive(x, x, x)):
+        v = residual(rel, a, policy)
+        assert not v.satisfied, rel
+        assert v.margin == eq_slack - defect < 0
+        assert v.detail == f"not self-adjoint, defect {defect:.3e}"
+
+
+def _skew_rank_one(t, direction):
+    """A Hermitian matrix of norm below 1 plus a skew part whose defect
+    ||m - m*|| is t, of rank one along ``direction``."""
+    h = np.diag([0.2, 0.4, 0.6, 0.8]).astype(complex)
+    return h + 0.5j * t * np.outer(direction, direction.conj())
+
+
+@pytest.mark.parametrize("factor", [0.25, 0.5, 0.51, 0.99, 1.01, 4.0])
+def test_defect_shortcut_gives_the_svd_verdict(monkeypatch, factor):
+    # The slack is tol_eq, since the assignment's norm is below 1.  Along
+    # a basis vector the row-sum bound equals the defect, so the SVD is
+    # skipped up to half the slack; along a spread vector it is not.
+    rng = np.random.default_rng(11)
+    spread = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    vs = {"x": Variable("x", "general")}
+    x = parse_poly("x", vs)
+    rels = (Positive("x"), Range01("x"), PolyPositive(x),
+            OperatorOrder(x - x, x), BlockPositive(x, x, x))
+    svd_calls = []
+    defect = matcalc.hermitian_defect
+    monkeypatch.setattr(matcalc, "hermitian_defect",
+                        lambda m: svd_calls.append(1) or defect(m))
+    def outcomes(a):
+        try:
+            power = matcalc.fractional_power(a["x"], 0.5, POLICY).tobytes()
+        except matcalc.NotHermitianError as err:
+            power = str(err)
+        return [residual(rel, a, POLICY) for rel in rels], power
+
+    for direction in (np.eye(4)[0], spread / np.linalg.norm(spread)):
+        a = _single("x", _skew_rank_one(factor * POLICY.tol_eq, direction))
+        assert a.scale() == 1.0
+        svd_calls.clear()
+        fast, power = outcomes(a)
+        skipped = not svd_calls
+        with monkeypatch.context() as patch:
+            patch.setattr(matcalc, "hermitian_defect_bound", lambda m: np.inf)
+            assert outcomes(a) == (fast, power)
+        for v in fast:
+            assert v.satisfied is (factor < 1)
+            assert v.detail.startswith("not self-adjoint") is (factor > 1)
+        assert isinstance(power, str) is (factor > 1)
+        if direction[0] == 1:
+            assert skipped is (factor <= 0.5)
+
+
+def test_defect_shortcut_does_not_underflow():
+    # A Frobenius norm squares the 1e-170 entries of m - m* and reads 0;
+    # the defect, 1e-169 or so, is far above tol_eq = 1e-300.
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = np.eye(4) + 1e-170 * g
+    assert np.linalg.norm(m - m.conj().T) == 0.0
+    policy = TolerancePolicy(tol_eq=1e-300, tol_psd=1e-300)
+    defect = matcalc.hermitian_defect(m)
+    for rel in (Positive("x"), Range01("x")):
+        v = residual(rel, _single("x", m), policy)
+        assert not v.satisfied
+        assert v.detail == f"not self-adjoint, defect {defect:.3e}"
+    with pytest.raises(matcalc.NotHermitianError):
+        matcalc.fractional_power(m, 0.5, policy)
+
+
 def test_overflowing_evaluation_is_a_failing_verdict():
     text = ("var x hermitian;\n"
             "rel norm(x^4000) <= 1;\n"
@@ -305,19 +388,28 @@ def test_assignment_file_round_trip():
     assert format_assignment(back) == text
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "dim 2 vars 1\nx\n1+0i 0+0i\n",              # missing row
-        "dim 2 vars 2\nx\n1+0i 0+0i\n0+0i 1+0i\n",   # missing variable
-        "dim 1 vars 1\nx\nfoo\n",                    # bad entry
-        "vars 1 dim 1\nx\n1+0i\n",                   # header order
-        "dim 1 vars 1\nx\n1+0i 2+0i\n",              # too many entries
-    ],
-)
+ASSIGNMENT_FILE_ERRORS = {
+    # missing row
+    "dim 2 vars 1\nx\n1+0i 0+0i\n":
+        "expected 4 nonempty lines for dim 2 and 1 variables, found 3",
+    # missing variable
+    "dim 2 vars 2\nx\n1+0i 0+0i\n0+0i 1+0i\n":
+        "expected 7 nonempty lines for dim 2 and 2 variables, found 4",
+    # bad entry
+    "dim 1 vars 1\nx\nfoo\n":
+        "bad matrix entry 'foo' in 'x'; entries look like 1.0-2.0i",
+    # header order
+    "vars 1 dim 1\nx\n1+0i\n": "bad assignment header 'vars 1 dim 1'",
+    # too many entries
+    "dim 1 vars 1\nx\n1+0i 2+0i\n": "row 0 of 'x' has 2 entries, expected 1",
+}
+
+
+@pytest.mark.parametrize("text", list(ASSIGNMENT_FILE_ERRORS))
 def test_assignment_file_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_assignment(text)
+    assert str(err.value) == ASSIGNMENT_FILE_ERRORS[text]
 
 
 def test_describe_short_forms():

@@ -191,6 +191,23 @@ def test_positivity_transfer_catches_false_claims():
     assert "dim" in rep.worst_seed
 
 
+@pytest.mark.parametrize("dims, count, words", [
+    ((2, 3), 0, "count must be at least 1"),
+    ((2,), -1, "count must be at least 1"),
+    ((), 5, "at least one dimension"),
+    ((2, 0), 5, "every dimension must be at least 1"),
+])
+def test_positivity_transfer_rejects_empty_runs(dims, count, words):
+    with pytest.raises(ValueError, match=words):
+        positivity_transfer_check(DEFAULT_POSITIVITY_RELATIONS, dims=dims,
+                                  seed=606, count=count)
+
+
+def test_heinz_experiment_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="at least one exponent"):
+        heinz_experiment(Ensemble("general", 3, seed=8, count=2), nus=())
+
+
 def test_clock_shift_pair_against_soft_torus_file():
     for dim in (2, 4, 8, 16):
         eps = 2.0 * np.sin(np.pi / dim)
