@@ -355,6 +355,9 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
     ``relations`` drive the rescaling, while every relation is checked).
     Rows have keys rank, relation, residual, alpha, defect.
     """
+    if not relations:
+        raise ValueError(
+            "no relations to track: residual curves need at least one")
     if procedure == "loewner":
         if schedule.cutoff != SHARP:
             raise ValueError("the loewner procedure uses the sharp cutoff, "

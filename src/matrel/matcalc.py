@@ -6,9 +6,10 @@ through Hermitian eigendecomposition, so anything fed to the functional
 calculus must be Hermitian up to the active tolerance.
 
 Tolerances are relative: a ``TolerancePolicy`` carries an equality
-tolerance and a positivity tolerance, and every comparison is scaled by
-``max(1, largest operator norm among the inputs)``.  That keeps verdicts
-meaningful both for tiny and for badly scaled matrices.
+tolerance and a positivity tolerance, and :meth:`TolerancePolicy.slack`
+is the one place that scales them, by ``max(1, norm)`` of the inputs
+being compared.  That keeps verdicts meaningful both for tiny and for
+badly scaled matrices.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ class TolerancePolicy:
             if not (0.0 < value <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {value!r}")
 
-    def scale(self, *mats: np.ndarray) -> float:
-        """Scale factor for relative comparisons: max(1, largest op norm)."""
-        largest = 1.0
-        for m in mats:
-            largest = max(largest, op_norm(m))
-        return largest
+    def slack(self, norm: float) -> tuple[float, float]:
+        """The equality and positivity slack granted at operator norm
+        ``norm``: each tolerance times max(1, norm)."""
+        scale = max(1.0, norm)
+        return self.tol_eq * scale, self.tol_psd * scale
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -138,11 +138,11 @@ def hermitian_defect_bound(m: np.ndarray) -> float:
 
 
 def _require_hermitian(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    # The slack tol_eq * scale is at least tol_eq, since the scale is >= 1.
+    # The equality slack is at least tol_eq, whatever the norm.
     if hermitian_defect_bound(m) <= policy.tol_eq / 2:
         return m
     defect = hermitian_defect(m)
-    if defect > policy.tol_eq * policy.scale(m):
+    if defect > policy.slack(op_norm(m))[0]:
         raise NotHermitianError(
             f"matrix is not Hermitian: ||a - a*|| = {defect:.3e}")
     return m
@@ -219,7 +219,7 @@ def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY
     w, v = spectrum(_require_hermitian(m, policy))
     # The floor is negative, so only a negative eigenvalue can be below it.
     if w[0] < 0:
-        floor = -policy.tol_psd * policy.scale(_hermitian_part(m))
+        floor = -policy.slack(op_norm(_hermitian_part(m)))[1]
         if w[0] < floor:
             raise NegativeSpectrumError(
                 f"fractional power of a matrix with eigenvalue {w[0]:.3e} "

@@ -27,6 +27,7 @@ literals like ``(1.5-2i)``.  Example: ``x* x - x x*``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -271,17 +272,12 @@ def evaluate(p: NcPolynomial, assignment,
     and all matrices used must share one dimension.  Fractional powers go
     through the Hermitian functional calculus and require a spectrum that
     is nonnegative within the positivity tolerance.  The zero polynomial
-    evaluates to the zero matrix once a dimension can be inferred from
-    the assignment.
+    evaluates to the zero matrix of the first assigned matrix's
+    dimension.
     """
-    occurring: list[str] = []
-    for mono in p.monomials:
-        for name, _, _ in mono.word:
-            if name not in occurring:
-                occurring.append(name)
     mats: dict[str, np.ndarray] = {}
-    dim = getattr(assignment, "dim", None)
-    for name in occurring:
+    dim = None
+    for name in dict.fromkeys(f[0] for mono in p.monomials for f in mono.word):
         try:
             m = assignment[name]
         except KeyError:
@@ -295,31 +291,24 @@ def evaluate(p: NcPolynomial, assignment,
                 f"expected {dim}x{dim}")
         mats[name] = m
     if dim is None:
-        values = getattr(assignment, "values", None)
-        if callable(values):
-            for m in values():
-                dim = matcalc.as_matrix(m).shape[0]
-                break
-    if dim is None:
-        raise PolyError("cannot infer a dimension from an empty assignment")
+        first = next(iter(assignment), None)
+        if first is None:
+            raise PolyError("cannot infer a dimension from an empty assignment")
+        dim = matcalc.as_matrix(assignment[first]).shape[0]
+    # Each distinct factor is powered once per call, since a fractional
+    # one costs a spectral decomposition; nothing is kept across calls.
+    powers: dict[Factor, np.ndarray] = {}
+    for factor in dict.fromkeys(f for mono in p.monomials for f in mono.word):
+        name, star, exp = factor
+        base = matcalc.adjoint(mats[name]) if star else mats[name]
+        powers[factor] = (
+            np.linalg.matrix_power(base, int(exp)) if exp.denominator == 1
+            else matcalc.fractional_power(base, exp, policy))
+    # acc starts at +0, which absorbs the sign of a zero in any product.
     acc = np.zeros((dim, dim), dtype=complex)
-    # Each distinct fractional factor costs a spectral decomposition, so
-    # it is computed once per call; nothing is kept across calls.
-    fractional: dict[Factor, np.ndarray] = {}
     for mono in p.monomials:
-        term = np.eye(dim, dtype=complex)
-        for factor in mono.word:
-            name, star, exp = factor
-            base = matcalc.adjoint(mats[name]) if star else mats[name]
-            if exp.denominator == 1:
-                powered = np.linalg.matrix_power(base, int(exp))
-            else:
-                if factor not in fractional:
-                    fractional[factor] = matcalc.fractional_power(
-                        base, exp, policy)
-                powered = fractional[factor]
-            term = term @ powered
-        acc += mono.coeff * term
+        acc += mono.coeff * functools.reduce(
+            np.matmul, [powers[f] for f in mono.word])
     return acc
 
 

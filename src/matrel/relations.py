@@ -4,10 +4,10 @@ A relation constrains an assignment of matrices to variables.  Checking
 never answers with a bare boolean: every check produces a
 :class:`Verdict` carrying a signed margin (distance to the boundary of
 the constraint, positive inside) and a residual (how badly the
-constraint fails, zero when satisfied).  Margins include the relative
-tolerance slack of the active :class:`~matrel.matcalc.TolerancePolicy`,
-scaled by ``max(1, largest operator norm in the assignment)``, except
-for strict norm bounds, which get no slack at all.
+constraint fails, zero when satisfied).  Margins include the slack
+:meth:`~matrel.matcalc.TolerancePolicy.slack` grants at the largest
+operator norm in the assignment, except for strict norm bounds, which
+get no slack at all.
 
 Relation files look like::
 
@@ -200,6 +200,9 @@ class Assignment:
         for name, raw in matrices.items():
             m = matcalc.as_matrix(raw).copy()
             m.setflags(write=False)
+            if m.shape[0] == 0:
+                raise matcalc.MatrixError(
+                    f"{name!r} is 0x0; assignment matrices are at least 1x1")
             if dim is None:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
@@ -232,10 +235,6 @@ class Assignment:
             self._max_norm = max(matcalc.op_norm(m) for m in self._store.values())
         return self._max_norm
 
-    def scale(self) -> float:
-        """Tolerance scale: max(1, largest operator norm)."""
-        return max(1.0, self.max_norm())
-
     def __repr__(self) -> str:
         return f"Assignment(dim={self.dim}, vars={list(self._store)})"
 
@@ -267,9 +266,7 @@ def residual(rel: Relation, a: Assignment,
 
 def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
               ) -> Verdict:
-    scale = max(1.0, a.max_norm())
-    eq_slack = policy.tol_eq * scale
-    psd_slack = policy.tol_psd * scale
+    eq_slack, psd_slack = policy.slack(a.max_norm())
 
     def eig_margin(m: np.ndarray, what: str, low_of=lambda w: w[0]
                    ) -> tuple[float, str]:
@@ -375,15 +372,14 @@ def essential_dim(a: Assignment, policy: TolerancePolicy = DEFAULT_POLICY
 
     This is the rank of the stacked columns of every matrix and its
     adjoint: the smallest coordinate subspace supporting all of them and
-    their adjoints.  Singular values at or below ``tol_eq * scale`` do
-    not count.
+    their adjoints.  Singular values at or below the equality slack at
+    the assignment's largest norm do not count.
     """
     stacked = np.hstack([
         np.concatenate([a[name], matcalc.adjoint(a[name])], axis=1)
         for name in a.names()])
     sing = np.linalg.svd(stacked, compute_uv=False)
-    threshold = policy.tol_eq * max(1.0, a.max_norm())
-    return int(np.sum(sing > threshold))
+    return int(np.sum(sing > policy.slack(a.max_norm())[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +600,8 @@ def parse_assignment(text: str) -> Assignment:
     dim, count = int(header[1]), int(header[3])
     if dim < 1:
         raise ParseError("assignment dimension must be at least 1")
+    if count < 1:
+        raise ParseError("an assignment needs at least one variable")
     expected = 1 + count * (dim + 1)
     if len(lines) != expected:
         raise ParseError(

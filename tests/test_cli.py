@@ -68,6 +68,11 @@ def test_check_malformed_input_exits_three(tmp_path, capsys):
         assert main(["check", rel, mat]) == 3
         err = capsys.readouterr().err
         assert err.startswith("parse error") and err.count("\n") == 1
+    # an assignment with no variables is a malformed file
+    empty = _write(tmp_path, "empty.mat", "dim 2 vars 0\n")
+    assert main(["check", _write(tmp_path, "idem.rel", IDEM), empty]) == 3
+    err = capsys.readouterr().err
+    assert err == "parse error: an assignment needs at least one variable\n"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -82,7 +87,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert info.value.code == 2
 
 
-def test_bad_option_values_exit_two(tmp_path):
+def test_bad_option_values_exit_two(tmp_path, capsys):
     rel, mat = _torus_files(tmp_path)
     assert main(["check", "--tol-eq", "0.5", rel, mat]) == 2
     assert main(["experiment", "expnorm", "--seed", "1", "--dim", "0"]) == 2
@@ -92,6 +97,15 @@ def test_bad_option_values_exit_two(tmp_path):
     # loewner is the sharp cutoff; a ramp would be silently ignored
     assert main(["approx", rel, mat, "--procedure", "loewner",
                  "--schedule", "4,8", "--cutoff", "ramp:2"]) == 2
+    # a file with declarations only leaves no residual to track
+    bare = _write(tmp_path, "bare.rel", "var x;\n")
+    one = _mat_file(tmp_path, "one.mat", {"x": np.eye(2)})
+    capsys.readouterr()
+    assert main(["approx", bare, one, "--procedure", "loewner",
+                 "--schedule", "1,2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: no relations to track: residual curves need at least one\n")
     # only positivity reads a relation file
     assert main(["experiment", "expnorm", rel, "--seed", "1"]) == 2
     with pytest.raises(SystemExit) as info:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from matrel.matcalc import (
-    DEFAULT_POLICY,
     MatrixError,
     NegativeSpectrumError,
     NotHermitianError,
@@ -158,6 +157,7 @@ def test_tolerance_policy_validation():
 
 
 def test_tolerance_policy_scale_floor():
-    pol = DEFAULT_POLICY
-    assert pol.scale(np.eye(2) * 0.25) == 1.0
-    assert abs(pol.scale(np.eye(2) * 3.0, np.eye(2)) - 3.0) < 1e-14
+    pol = TolerancePolicy(tol_eq=1e-9, tol_psd=1e-6)
+    assert pol.slack(op_norm(np.eye(2) * 0.25)) == (1e-9, 1e-6)
+    eq, psd = pol.slack(max(op_norm(np.eye(2) * 3.0), op_norm(np.eye(2))))
+    assert abs(eq / 1e-9 - 3.0) < 1e-14 and abs(psd / 1e-6 - 3.0) < 1e-14

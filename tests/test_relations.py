@@ -194,7 +194,7 @@ def test_non_hermitian_value_fails_positivity_when_tol_eq_is_below_tol_psd():
     a = _single("x", m)
     vs = {"x": Variable("x", "general")}
     x = parse_poly("x", vs)
-    eq_slack = 1e-9 * a.scale()
+    eq_slack = 1e-9 * max(1.0, a.max_norm())
     defect = matcalc.hermitian_defect(m)
     for rel in (Positive("x"), Range01("x"), PolyPositive(x),
                 OperatorOrder(x - x, x), BlockPositive(x, x, x)):
@@ -235,7 +235,7 @@ def test_defect_shortcut_gives_the_svd_verdict(monkeypatch, factor):
 
     for direction in (np.eye(4)[0], spread / np.linalg.norm(spread)):
         a = _single("x", _skew_rank_one(factor * POLICY.tol_eq, direction))
-        assert a.scale() == 1.0
+        assert a.max_norm() <= 1.0
         svd_calls.clear()
         fast, power = outcomes(a)
         skipped = not svd_calls
@@ -307,10 +307,11 @@ def test_scale_grows_with_assignment():
     _, rels = parse_relations("var x;\nvar y;\nrel x^2 - x = 0;\n")
     near_proj = np.diag([1.0, 1e-4])
     big = Assignment({"x": near_proj, "y": 1e6 * np.eye(2)})
-    assert big.scale() == 1e6
+    assert big.max_norm() == 1e6
+    assert POLICY.slack(big.max_norm()) == (1e-9 * 1e6, 1e-9 * 1e6)
     assert residual(rels[0], big, POLICY).satisfied
     small = Assignment({"x": near_proj, "y": np.eye(2)})
-    assert small.scale() == 1.0
+    assert POLICY.slack(small.max_norm()) == (1e-9, 1e-9)
     assert not residual(rels[0], small, POLICY).satisfied
 
 
@@ -369,8 +370,10 @@ def test_assignment_validation():
         Assignment({})
     with pytest.raises(ValueError):
         Assignment({"x": np.eye(2), "y": np.eye(3)})
+    with pytest.raises(matcalc.MatrixError):
+        Assignment({"x": np.zeros((0, 0))})
     a = Assignment({"x": np.eye(2) * 0.5})
-    assert a.scale() == 1.0 and a.max_norm() == 0.5
+    assert POLICY.slack(a.max_norm()) == (1e-9, 1e-9) and a.max_norm() == 0.5
     assert "x" in a and list(a) == ["x"]
 
 
@@ -402,6 +405,8 @@ ASSIGNMENT_FILE_ERRORS = {
     "vars 1 dim 1\nx\n1+0i\n": "bad assignment header 'vars 1 dim 1'",
     # too many entries
     "dim 1 vars 1\nx\n1+0i 2+0i\n": "row 0 of 'x' has 2 entries, expected 1",
+    # no variables
+    "dim 2 vars 0\n": "an assignment needs at least one variable",
 }
 
 
