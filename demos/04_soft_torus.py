@@ -40,7 +40,7 @@ def main() -> None:
     width = 4
     _, rels = parse_relations(soft_torus_relations(0.5))
     pair = clock_shift_pair(dim)
-    schedule = CompressionSchedule((16, 32, 48, 64, 68), Cutoff("ramp", width))
+    schedule = CompressionSchedule((16, 32, 48, 64, 68), Cutoff(width))
     steps = quasicentral_approximation(pair, rels, schedule)
     print("  rank  alpha      cutoff-defect(v)  tracked norm after rescale")
     for step in steps:

@@ -28,15 +28,15 @@ def show(report) -> None:
 
 def main() -> None:
     print("== inequalities that hold, sampled at random ==")
-    show(exp_norm_experiment(Ensemble("general", 6, seed=1, count=200)))
-    show(heinz_experiment(Ensemble("general", 4, seed=2, count=50)))
-    show(monotone_experiment(0.5, Ensemble("order-pair", 4, seed=3, count=200)))
+    show(exp_norm_experiment(Ensemble(6, seed=1, count=200)))
+    show(heinz_experiment(Ensemble(4, seed=2, count=50)))
+    show(monotone_experiment(0.5, Ensemble(4, seed=3, count=200)))
     show(positivity_transfer_check(DEFAULT_POSITIVITY_RELATIONS,
                                    dims=(2, 4), seed=4, count=25))
 
     print()
     print("== squaring is the textbook counterexample ==")
-    show(monotone_experiment(2.0, Ensemble("order-pair", 2, seed=5, count=100)))
+    show(monotone_experiment(2.0, Ensemble(2, seed=5, count=100)))
     print("  a positive violation above means an order pair x <= y with")
     print("  x^2 <= y^2 false; compare the sqrt line above, which stays flat")
 

@@ -45,31 +45,27 @@ from .relations import Assignment, NormBound, Relation, describe, residual
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Diagonal cutoff profile: sharp or a linear ramp of a given width.
+    """Diagonal cutoff profile: a linear ramp of a given width.
 
     The weight of coordinate i at rank r is clip((r - i) / (width + 1),
-    0, 1); sharp means width 0, an exact coordinate projection.
+    0, 1); width 0 is the sharp cutoff, an exact coordinate projection.
     """
 
-    shape: str = "sharp"
     width: int = 0
 
     def __post_init__(self) -> None:
-        if self.shape not in ("sharp", "ramp"):
-            raise ValueError(f"unknown cutoff shape {self.shape!r}")
-        if self.shape == "sharp" and self.width != 0:
-            raise ValueError("a sharp cutoff has width 0")
-        if self.shape == "ramp" and self.width < 1:
-            raise ValueError("a ramp cutoff needs width >= 1")
+        if self.width < 0:
+            raise ValueError("a cutoff width must be at least 0")
 
     @classmethod
     def parse(cls, text: str) -> "Cutoff":
-        """Parse "sharp" or "ramp:WIDTH"."""
+        """Parse "sharp" (width 0) or "ramp:WIDTH" with WIDTH >= 1."""
         if text == "sharp":
             return cls()
         if text.startswith("ramp:"):
             try:
-                return cls("ramp", int(text[5:]))
+                if (width := int(text[5:])) >= 1:
+                    return cls(width)
             except ValueError:
                 pass
         raise ValueError(f"bad cutoff {text!r}; use sharp or ramp:WIDTH")
@@ -79,7 +75,7 @@ class Cutoff:
         return np.clip((rank - i) / (self.width + 1), 0.0, 1.0)
 
     def __str__(self) -> str:
-        return "sharp" if self.shape == "sharp" else f"ramp:{self.width}"
+        return f"ramp:{self.width}" if self.width else "sharp"
 
 
 SHARP = Cutoff()

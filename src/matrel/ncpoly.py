@@ -13,7 +13,8 @@ Canonical form, maintained by every constructor and operation:
 * the star flag is cleared on self-adjoint variables (kind ``hermitian``
   or ``positive``), so ``x*`` and ``x`` are the same factor there;
 * fractional exponents are only allowed on self-adjoint variables;
-* monomials with coefficient zero are dropped;
+* coefficients are finite, and monomials with coefficient zero are
+  dropped;
 * monomials are ordered by descending total degree, then by word.
 
 Equal polynomials therefore compare equal, and printing is a bijection
@@ -27,7 +28,9 @@ literals like ``(1.5-2i)``.  Example: ``x* x - x x*``.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,6 +179,9 @@ class NcPolynomial:
             if not word:
                 raise ConstantTermError("polynomials have no constant term")
             merged[word] = merged.get(word, 0) + complex(coeff)
+        for c in merged.values():
+            if not cmath.isfinite(c):
+                raise PolyError(f"coefficient {c} is not finite")
         monos = [Monomial(c, w) for w, c in merged.items() if c != 0]
         monos.sort(key=lambda m: (-m.degree(), m.word))
         return cls(vs, tuple(monos))
@@ -220,11 +226,8 @@ class NcPolynomial:
 
     def _scaled(self, scalar) -> "NcPolynomial":
         c = complex(scalar)
-        if c == 0:
-            return NcPolynomial(self.variables, ())
-        return NcPolynomial(
-            self.variables,
-            tuple(Monomial(c * m.coeff, m.word) for m in self.monomials))
+        return NcPolynomial.from_terms(
+            self.variables, [(c * m.coeff, m.word) for m in self.monomials])
 
     def __pow__(self, n: int) -> "NcPolynomial":
         if not isinstance(n, int) or n < 1:
@@ -333,7 +336,8 @@ def tokenize(text: str) -> list[Token]:
 
     A number immediately followed by a lone ``i`` is an imaginary
     literal; ``2i`` is imaginary while ``2ix`` is the number 2 followed
-    by the identifier ``ix``.
+    by the identifier ``ix``.  A number that overflows to inf is a
+    ParseError.
     """
     tokens: list[Token] = []
     i = 0
@@ -345,14 +349,17 @@ def tokenize(text: str) -> list[Token]:
             continue
         m = _NUM_RE.match(text, i)
         if m:
+            value = float(m.group())
+            if math.isinf(value):
+                raise ParseError(f"number {m.group()!r} is out of range", i)
             end = m.end()
             if end < n and text[end] == "i" and (
                     end + 1 == n or not (text[end + 1].isalnum()
                                          or text[end + 1] == "_")):
-                tokens.append(Token("imag", float(m.group()), i))
+                tokens.append(Token("imag", value, i))
                 i = end + 1
                 continue
-            tokens.append(Token("num", float(m.group()), i))
+            tokens.append(Token("num", value, i))
             i = end
             continue
         m = _IDENT_SCAN_RE.match(text, i)

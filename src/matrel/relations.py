@@ -53,6 +53,7 @@ from .ncpoly import (
     TokenStream,
     Variable,
     _IDENT_RE,
+    _NUM_RE,
     _describe,
     evaluate,
     format_number,
@@ -216,7 +217,10 @@ class Assignment:
         self._max_norm: float | None = None
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._store[name]
+        try:
+            return self._store[name]
+        except KeyError:
+            raise PolyError(f"no matrix assigned to variable {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._store
@@ -475,20 +479,13 @@ def _parse_relation(stream: TokenStream, variables: dict[str, Variable],
             return RealPartBound(name_tok.value, bound)
         return ExpRealNormBound(name_tok.value, bound)
     p = parse_expr(stream, varset)
-    if stream.at_op("="):
-        eq = stream.next()
+    if stream.at_op("=", ">="):
+        op = stream.next().value
         zero = stream.peek()
         if zero.kind != "num" or zero.value != 0:
-            raise ParseError("the right side of '=' must be 0", zero.pos)
+            raise ParseError(f"the right side of '{op}' must be 0", zero.pos)
         stream.next()
-        return PolyZero(p)
-    if stream.at_op(">="):
-        stream.next()
-        zero = stream.peek()
-        if zero.kind != "num" or zero.value != 0:
-            raise ParseError("the right side of '>=' must be 0", zero.pos)
-        stream.next()
-        return PolyPositive(p)
+        return PolyZero(p) if op == "=" else PolyPositive(p)
     if stream.at_op("<="):
         stream.next()
         q = parse_expr(stream, varset)
@@ -539,7 +536,8 @@ def describe(rel: Relation) -> str:
 
 def format_relations(variables: Mapping[str, Variable] | Iterable[Variable],
                      relations: Sequence[Relation]) -> str:
-    """Canonical relation-file text; parsing it back reproduces the input.
+    """Canonical relation-file text; parsing it back gives the same
+    variables and relations, and printing those gives the same text.
 
     Side relations implied by variable kinds are folded into the
     declarations.  Relations with no file syntax (explicit SelfAdjoint
@@ -565,15 +563,11 @@ def format_relations(variables: Mapping[str, Variable] | Iterable[Variable],
 
 
 def _format_relation(rel: Relation) -> str:
-    match rel:
-        case (PolyZero() | PolyPositive() | NormBound() | OperatorOrder()
-              | BlockPositive() | RealPartBound() | ExpRealNormBound()):
-            return describe(rel)
-        case SelfAdjoint() | Positive() | Unitary() | Contraction() | Range01():
-            raise ValueError(
-                f"{type(rel).__name__} has no explicit file syntax; "
-                "declare the variable with the matching kind instead")
-    raise TypeError(f"unknown relation {rel!r}")
+    if isinstance(rel, (*_KIND_RELATIONS.values(), Range01)):
+        raise ValueError(
+            f"{type(rel).__name__} has no explicit file syntax; "
+            "declare the variable with the matching kind instead")
+    return describe(rel)
 
 
 def load_relations(path) -> tuple[dict[str, Variable], list[Relation]]:
@@ -583,9 +577,9 @@ def load_relations(path) -> tuple[dict[str, Variable], list[Relation]]:
 # ---------------------------------------------------------------------------
 # Assignment files
 
+# A matrix entry: two decimals of the polynomial lexer, the second signed.
 _ENTRY_RE = re.compile(
-    r"([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i\Z")
+    rf"([+-]?{_NUM_RE.pattern})([+-]{_NUM_RE.pattern})i\Z")
 
 
 def parse_assignment(text: str) -> Assignment:
@@ -595,7 +589,7 @@ def parse_assignment(text: str) -> Assignment:
         raise ParseError("empty assignment file")
     header = lines[0].split()
     if (len(header) != 4 or header[0] != "dim" or header[2] != "vars"
-            or not header[1].isdigit() or not header[3].isdigit()):
+            or not header[1].isdecimal() or not header[3].isdecimal()):
         raise ParseError(f"bad assignment header {lines[0]!r}")
     dim, count = int(header[1]), int(header[3])
     if dim < 1:
@@ -630,16 +624,22 @@ def _parse_matrix(rows: list[str], name: str) -> np.ndarray:
     """The matrix of ``name`` from its ``dim`` row lines.
 
     A row of plain ASCII entries goes through ``complex`` in one pass.
-    Any other row sends the whole matrix through the per-entry loop,
-    which raises the same first error as always and accepts what it
-    always accepted, such as non-ASCII digits.
+    Any other row is parsed entry by entry, which raises the first error
+    in it and accepts what ``_ENTRY_RE`` accepts, such as non-ASCII
+    digits.  A row the fast path takes parses to the same values entry
+    by entry, so no row it takes hides an error.
     """
     dim = len(rows)
     m = np.empty((dim, dim), dtype=complex)
     for r, line in enumerate(rows):
         entries = _fast_row(line, dim)
         if entries is None:
-            return _parse_matrix_by_entry(rows, name)
+            cells = line.split()
+            if len(cells) != dim:
+                raise ParseError(
+                    f"row {r} of {name!r} has {len(cells)} entries, "
+                    f"expected {dim}")
+            entries = [_parse_entry(c, name) for c in cells]
         m[r] = entries
     return m
 
@@ -675,19 +675,6 @@ def _fast_row(line: str, dim: int) -> list[complex] | None:
         return list(map(complex, cells))
     except ValueError:
         return None
-
-
-def _parse_matrix_by_entry(rows: list[str], name: str) -> np.ndarray:
-    dim = len(rows)
-    entries = []
-    for r, line in enumerate(rows):
-        cells = line.split()
-        if len(cells) != dim:
-            raise ParseError(
-                f"row {r} of {name!r} has {len(cells)} entries, "
-                f"expected {dim}")
-        entries.append([_parse_entry(c, name) for c in cells])
-    return np.array(entries, dtype=complex)
 
 
 def _parse_entry(cell: str, name: str) -> complex:

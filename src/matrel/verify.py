@@ -50,9 +50,6 @@ from .relations import (
 )
 from .approx import model
 
-ENSEMBLE_KINDS = ("general", "hermitian", "positive", "contraction",
-                  "unitary", "order-pair")
-
 
 def stream(seed: int, index: int, role: int = 0) -> np.random.Generator:
     """The generator for one (sample, role) slot of a master seed."""
@@ -107,28 +104,24 @@ _SAMPLERS = {
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A seeded family of random matrices (or pairs) of one kind."""
+    """A seeded family of ``count`` random samples of size ``dim``; each
+    experiment names the kind it draws."""
 
-    kind: str
     dim: int
     seed: int
     count: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("ensemble dimension must be at least 1")
         if self.count < 1:
             raise ValueError("ensemble count must be at least 1")
 
-    def draw(self, index: int, role: int = 0, kind: str | None = None):
-        """Sample ``index`` in stream ``role``, optionally of another kind."""
-        kind = kind or self.kind
+    def draw(self, index: int, role: int = 0, *, kind: str):
+        """Sample ``index`` in stream ``role``; ``kind`` names a sampler."""
+        if kind not in _SAMPLERS:
+            raise ValueError(f"unknown ensemble kind {kind!r}")
         return _SAMPLERS[kind](stream(self.seed, index, role), self.dim)
-
-    def __iter__(self):
-        return (self.draw(i) for i in range(self.count))
 
 
 @dataclass
@@ -582,17 +575,13 @@ def run_experiment(name: str, seed: int, dim: int | None = None,
     dimension of :data:`POSITIVITY_DIMS` unless given one.
     """
     if name == "expnorm":
-        return exp_norm_experiment(
-            Ensemble("general", dim or 6, seed, count or 1000))
+        return exp_norm_experiment(Ensemble(dim or 6, seed, count or 1000))
     if name == "heinz":
-        return heinz_experiment(
-            Ensemble("general", dim or 4, seed, count or 125))
+        return heinz_experiment(Ensemble(dim or 4, seed, count or 125))
     if name == "monotone-sqrt":
-        return monotone_experiment(
-            0.5, Ensemble("order-pair", dim or 4, seed, count or 1000))
+        return monotone_experiment(0.5, Ensemble(dim or 4, seed, count or 1000))
     if name == "monotone-square":
-        return monotone_experiment(
-            2.0, Ensemble("order-pair", dim or 2, seed, count or 200))
+        return monotone_experiment(2.0, Ensemble(dim or 2, seed, count or 200))
     if name == "commutator":
         return commutator_sqrt_search(dim or 4, seed,
                                       budget or COMMUTATOR_BUDGET)

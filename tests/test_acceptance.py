@@ -75,7 +75,7 @@ def _announce(number, label, detail=""):
 def test_criterion_1_exponential_norm_bound():
     start = time.perf_counter()
     rep = exp_norm_experiment(
-        Ensemble("general", 6, seed=REPRODUCTION_SEEDS["expnorm"], count=1000))
+        Ensemble(6, seed=REPRODUCTION_SEEDS["expnorm"], count=1000))
     elapsed = time.perf_counter() - start
     assert rep.samples == 1000
     assert rep.max_violation <= 1e-9, rep.max_violation
@@ -90,7 +90,7 @@ def test_criterion_2_interpolated_product_bound():
     endpoint = 0.0
     for dim in (3, 4, 5, 6):
         rep = heinz_experiment(
-            Ensemble("general", dim, seed=REPRODUCTION_SEEDS["heinz"], count=125))
+            Ensemble(dim, seed=REPRODUCTION_SEEDS["heinz"], count=125))
         total += rep.samples
         worst = max(worst, rep.max_violation)
         endpoint = max(endpoint, rep.stats["endpoint_gap"])
@@ -167,13 +167,13 @@ def test_criterion_3_commutator_square_root_search():
 
 def test_criterion_4_power_monotonicity_split():
     half = monotone_experiment(
-        0.5, Ensemble("order-pair", 4, seed=REPRODUCTION_SEEDS["monotone_sqrt"],
+        0.5, Ensemble(4, seed=REPRODUCTION_SEEDS["monotone_sqrt"],
                       count=1000))
     assert half.samples == 1000
     assert half.max_violation <= 1e-8, half.max_violation
 
     square = monotone_experiment(
-        2.0, Ensemble("order-pair", 2, seed=REPRODUCTION_SEEDS["monotone_square"],
+        2.0, Ensemble(2, seed=REPRODUCTION_SEEDS["monotone_square"],
                       count=200))
     assert square.max_violation > 1e-3, square.max_violation
 
@@ -297,7 +297,7 @@ def test_criterion_7_quasicentral_soft_torus():
         orig = op_norm(evaluate(poly, pair))
         assert abs(orig - clock_shift_norm_gap(dim)) < 1e-12
         ranks = (dim // 4, dim // 2, 3 * dim // 4, dim, dim + width)
-        schedule = CompressionSchedule(ranks, Cutoff("ramp", width))
+        schedule = CompressionSchedule(ranks, Cutoff(width))
         steps = quasicentral_approximation(pair, rels, schedule, POLICY)
         for step in steps:
             assert 0.0 < step.alpha <= 1.0

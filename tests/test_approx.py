@@ -37,19 +37,22 @@ def test_cutoff_weights_sharp():
 
 
 def test_cutoff_weights_ramp():
-    w = Cutoff("ramp", 2).weights(6, 4)
+    w = Cutoff(2).weights(6, 4)
     assert np.allclose(w, [1.0, 1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
     # width zero is the sharp projection again
-    assert np.array_equal(Cutoff("ramp", 1).weights(4, 2), [1.0, 0.5, 0.0, 0.0])
+    assert np.array_equal(Cutoff(1).weights(4, 2), [1.0, 0.5, 0.0, 0.0])
 
 
 def test_cutoff_parse_and_str():
     assert Cutoff.parse("sharp") == SHARP
-    assert Cutoff.parse("ramp:4") == Cutoff("ramp", 4)
-    assert Cutoff.parse(str(Cutoff("ramp", 2))) == Cutoff("ramp", 2)
+    assert Cutoff.parse("ramp:4") == Cutoff(4)
+    assert Cutoff.parse(str(Cutoff(2))) == Cutoff(2)
+    assert str(SHARP) == "sharp" and Cutoff(0) == SHARP
     for bad in ("ramp", "ramp:0", "box:3", "sharp:1"):
         with pytest.raises(ValueError):
             Cutoff.parse(bad)
+    with pytest.raises(ValueError):
+        Cutoff(-1)
 
 
 def test_schedule_validation():
@@ -273,7 +276,7 @@ def test_quasicentral_never_raises_tracked_norms():
     vs, rels = parse_relations(
         "var u unitary;\nvar v unitary;\nrel norm(u v - v u) <= 0.5;\n")
     a = Assignment({"u": model("clock", dim), "v": model("shiftmod", dim)})
-    schedule = CompressionSchedule((8, 16, 24, 32, 36), Cutoff("ramp", 4))
+    schedule = CompressionSchedule((8, 16, 24, 32, 36), Cutoff(4))
     steps = quasicentral_approximation(a, rels, schedule, POLICY)
     assert [s.rank for s in steps] == [8, 16, 24, 32, 36]
     p = rels[-1].poly
@@ -326,7 +329,7 @@ def test_residual_curves_and_csv(tmp_path):
     _, rels = parse_relations(
         "var u unitary;\nvar v unitary;\nrel norm(u v - v u) <= 0.5;\n")
     a = Assignment({"u": model("clock", dim), "v": model("shiftmod", dim)})
-    schedule = CompressionSchedule((4, 8, 16), Cutoff("ramp", 2))
+    schedule = CompressionSchedule((4, 8, 16), Cutoff(2))
     rows = residual_curves(a, rels, schedule, "quasicentral", POLICY)
     assert {r["rank"] for r in rows} == {4, 8, 16}
     assert all(r["residual"] >= 0.0 for r in rows)

@@ -73,6 +73,31 @@ def test_check_malformed_input_exits_three(tmp_path, capsys):
     assert main(["check", _write(tmp_path, "idem.rel", IDEM), empty]) == 3
     err = capsys.readouterr().err
     assert err == "parse error: an assignment needs at least one variable\n"
+    # a superscript digit is not a decimal digit
+    sup = _write(tmp_path, "sup.mat", "dim \u00b2 vars 1\nx\n1+0i\n")
+    assert main(["check", _write(tmp_path, "idem.rel", IDEM), sup]) == 3
+    err = capsys.readouterr().err
+    assert err == "parse error: bad assignment header 'dim \u00b2 vars 1'\n"
+
+
+@pytest.mark.parametrize("command", ["check", "approx"])
+@pytest.mark.parametrize("text", [
+    "var x;\nvar y hermitian;\n",
+    "var x;\nvar y positive;\n",
+    "var x;\nvar y unitary;\n",
+    "var x;\nvar y contraction;\n",
+    "var x;\nvar y;\nrel re(y) <= 1;\n",
+    "var x;\nvar y;\nrel normexp_re(y) <= 2;\n",
+    "var x;\nvar y;\nrel norm(y) <= 1;\n",
+])
+def test_relation_on_unassigned_variable_exits_two(tmp_path, capsys, text,
+                                                    command):
+    rel = _write(tmp_path, "y.rel", text)
+    mat = _mat_file(tmp_path, "x.mat", {"x": np.eye(2)})
+    extra = ["--procedure", "loewner", "--schedule", "1,2"]
+    assert main([command, rel, mat] + (extra if command == "approx" else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no matrix assigned to variable 'y'\n"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -106,6 +131,15 @@ def test_bad_option_values_exit_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == (
         "error: no relations to track: residual curves need at least one\n")
+    # sizes below 1 are usage errors
+    for argv, flag in (
+            (["experiment", "expnorm", "--seed", "1", "--count", "0"], "--count"),
+            (["experiment", "commutator", "--seed", "1", "--budget", "0"],
+             "--budget"),
+            (["reproduce", "--budget", "0"], "--budget")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag} must be at least 1\n"
     # only positivity reads a relation file
     assert main(["experiment", "expnorm", rel, "--seed", "1"]) == 2
     with pytest.raises(SystemExit) as info:
@@ -213,15 +247,15 @@ def test_experiment_writes_jsonl(tmp_path, capsys):
 # call that the run must equal.
 _DIRECT_CALLS = {
     "expnorm": (["--dim", "3", "--count", "4"],
-                lambda: verify.exp_norm_experiment(Ensemble("general", 3, 5, 4))),
+                lambda: verify.exp_norm_experiment(Ensemble(3, 5, 4))),
     "heinz": (["--dim", "2", "--count", "3"],
-              lambda: verify.heinz_experiment(Ensemble("general", 2, 5, 3))),
+              lambda: verify.heinz_experiment(Ensemble(2, 5, 3))),
     "monotone-sqrt": (["--dim", "3", "--count", "4"],
                       lambda: verify.monotone_experiment(
-                          0.5, Ensemble("order-pair", 3, 5, 4))),
+                          0.5, Ensemble(3, 5, 4))),
     "monotone-square": (["--dim", "2", "--count", "6"],
                         lambda: verify.monotone_experiment(
-                            2.0, Ensemble("order-pair", 2, 5, 6))),
+                            2.0, Ensemble(2, 5, 6))),
     "commutator": (["--dim", "2", "--budget", "40"],
                    lambda: verify.commutator_sqrt_search(2, 5, 40)),
     "positivity": (["--dim", "2", "--count", "3"],

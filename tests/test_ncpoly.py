@@ -114,11 +114,21 @@ def test_double_star_cancels():
         ("x +", ParseError),
         ("2 *", ParseError),
         ("", ParseError),
+        # numbers and coefficients must stay finite
+        ("1e309 x", ParseError),
+        ("1e308 x + 1e308 x", PolyError),
+        ("10 (1e308 x)", PolyError),
+        ("(1e200 x)^2", PolyError),
     ],
 )
 def test_rejected_inputs(text, err):
     with pytest.raises(err):
         parse_poly(text, GEN)
+
+
+def test_underflowing_coefficient_drops_its_monomial():
+    p = parse_poly("1e-200 (1e-200 x)", GEN)
+    assert p == parse_poly("0", GEN) and format_poly(p) == "0"
 
 
 def test_construction_rejects_bad_exponents():

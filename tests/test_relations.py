@@ -5,7 +5,7 @@ import pytest
 
 from matrel import matcalc
 from matrel.matcalc import TolerancePolicy
-from matrel.ncpoly import ParseError, Variable, parse_poly
+from matrel.ncpoly import ParseError, PolyError, Variable, parse_poly
 from matrel.relations import (
     Assignment,
     BlockPositive,
@@ -82,6 +82,13 @@ def test_relation_file_round_trip():
         "var x;\nrel re(x) <= 0.0;",
         "var x;\nrel x >= y;",               # order needs poly <= poly
         "var x;\nrel norm(x) = 0;",
+        # non-finite literals, bounds and coefficients
+        "var x;\nrel norm(x) <= 1e309;",
+        "var x;\nrel re(x) <= 1e309;",
+        "var x;\nrel 1e309 x = 0;",
+        "var x;\nrel 1e308 x + 1e308 x = 0;",
+        "var x;\nrel 10 (1e308 x) = 0;",
+        "var x;\nrel (1e200 x)^2 = 0;",
     ],
 )
 def test_rejected_relation_files(text):
@@ -331,6 +338,16 @@ def test_check_all_aggregates():
     assert verdict2.residual == max(p.residual for p in verdict2.parts)
 
 
+@pytest.mark.parametrize("rel", [
+    SelfAdjoint("y"), Positive("y"), Range01("y"), Unitary("y"),
+    Contraction("y"), RealPartBound("y", 1.0), ExpRealNormBound("y", 2.0),
+])
+def test_relation_on_unassigned_variable_raises_poly_error(rel):
+    with pytest.raises(PolyError) as err:
+        residual(rel, _single("x", np.eye(2)), POLICY)
+    assert str(err.value) == "no matrix assigned to variable 'y'"
+
+
 def test_residual_is_clipped_margin():
     rng = np.random.default_rng(31)
     _, rels = parse_relations(IDEM + "rel x >= 0;\nrel norm(x) <= 1.0;\n")
@@ -407,6 +424,9 @@ ASSIGNMENT_FILE_ERRORS = {
     "dim 1 vars 1\nx\n1+0i 2+0i\n": "row 0 of 'x' has 2 entries, expected 1",
     # no variables
     "dim 2 vars 0\n": "an assignment needs at least one variable",
+    # superscript digits, which int() does not read
+    "dim \u00b2 vars 1\nx\n1+0i\n": "bad assignment header 'dim \u00b2 vars 1'",
+    "dim 1 vars \u00b9\nx\n1+0i\n": "bad assignment header 'dim 1 vars \u00b9'",
 }
 
 

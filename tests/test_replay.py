@@ -71,7 +71,7 @@ def _monotone(seed, dim, i, power):
 @SMALL
 @given(SEEDS, DIMS, COUNTS)
 def test_expnorm_worst_sample_replays(seed, dim, count):
-    rep = exp_norm_experiment(Ensemble("general", dim, seed, count))
+    rep = exp_norm_experiment(Ensemble(dim, seed, count))
     values = [_expnorm(seed, dim, i) for i in range(count)]
     _check_worst(values, rep.worst_seed["index"], rep)
 
@@ -81,7 +81,7 @@ def test_expnorm_worst_sample_replays(seed, dim, count):
        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]), min_size=1,
                 max_size=4))
 def test_heinz_worst_sample_replays(seed, dim, count, nus):
-    rep = heinz_experiment(Ensemble("general", dim, seed, count), nus)
+    rep = heinz_experiment(Ensemble(dim, seed, count), nus)
     cells = [(i, nu) for i in range(count) for nu in nus]
     values = [_heinz(seed, dim, i, nu) for i, nu in cells]
     at = cells.index((rep.worst_seed["index"], rep.stats["worst_nu"]))
@@ -91,7 +91,7 @@ def test_heinz_worst_sample_replays(seed, dim, count, nus):
 @SMALL
 @given(SEEDS, DIMS, COUNTS, st.sampled_from([0.5, 2.0]))
 def test_monotone_worst_sample_replays(seed, dim, count, power):
-    rep = monotone_experiment(power, Ensemble("order-pair", dim, seed, count))
+    rep = monotone_experiment(power, Ensemble(dim, seed, count))
     values = [_monotone(seed, dim, i, power) for i in range(count)]
     _check_worst(values, rep.worst_seed["index"], rep)
 

@@ -55,30 +55,32 @@ def test_ensemble_kinds_have_declared_shape():
         ("contraction", lambda m: op_norm(m) <= 1.0 + 1e-12),
         ("unitary", lambda m: np.allclose(m @ m.conj().T, np.eye(5), atol=1e-10)),
     ):
-        e = Ensemble(kind, 5, seed=7, count=4)
-        for m in e:
+        e = Ensemble(5, seed=7, count=4)
+        for i in range(e.count):
+            m = e.draw(i, kind=kind)
             assert m.shape == (5, 5)
             assert check(m), kind
 
 
 def test_order_pair_ensemble():
-    e = Ensemble("order-pair", 4, seed=9, count=6)
-    for x, y in e:
+    e = Ensemble(4, seed=9, count=6)
+    for i in range(e.count):
+        x, y = e.draw(i, kind="order-pair")
         assert min_eigenvalue(y - x) >= -1e-10
         assert np.allclose(x, x.conj().T)
 
 
 def test_ensemble_draw_is_replayable():
-    e = Ensemble("general", 4, seed=11, count=3)
-    m0 = e.draw(2)
-    m1 = e.draw(2)
+    e = Ensemble(4, seed=11, count=3)
+    m0 = e.draw(2, kind="general")
+    m1 = e.draw(2, kind="general")
     assert np.array_equal(m0, m1)
     with pytest.raises(ValueError):
-        Ensemble("squirrel", 4, seed=1, count=1)
+        Ensemble(4, seed=1, count=1).draw(0, kind="squirrel")
 
 
 def test_exp_norm_experiment_passes_and_is_deterministic():
-    e = Ensemble("general", 5, seed=42, count=50)
+    e = Ensemble(5, seed=42, count=50)
     rep = exp_norm_experiment(e)
     again = exp_norm_experiment(e)
     assert rep.passed
@@ -89,7 +91,7 @@ def test_exp_norm_experiment_passes_and_is_deterministic():
 
 
 def test_heinz_experiment_endpoints_exact():
-    e = Ensemble("general", 4, seed=8, count=25)
+    e = Ensemble(4, seed=8, count=25)
     rep = heinz_experiment(e)
     assert rep.passed
     assert rep.max_violation <= 1e-8
@@ -99,12 +101,12 @@ def test_heinz_experiment_endpoints_exact():
 
 
 def test_monotone_experiment_split_by_power():
-    e = Ensemble("order-pair", 3, seed=13, count=120)
+    e = Ensemble(3, seed=13, count=120)
     half = monotone_experiment(0.5, e)
     assert half.passed and half.max_violation <= 1e-8
     full = monotone_experiment(1.0, e)
     assert full.passed
-    square = monotone_experiment(2.0, Ensemble("order-pair", 2, seed=14, count=150))
+    square = monotone_experiment(2.0, Ensemble(2, seed=14, count=150))
     assert square.threshold is None  # exploratory, squaring is not monotone
     assert square.max_violation > 1e-3
 
@@ -205,7 +207,7 @@ def test_positivity_transfer_rejects_empty_runs(dims, count, words):
 
 def test_heinz_experiment_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="at least one exponent"):
-        heinz_experiment(Ensemble("general", 3, seed=8, count=2), nus=())
+        heinz_experiment(Ensemble(3, seed=8, count=2), nus=())
 
 
 def test_clock_shift_pair_against_soft_torus_file():
