@@ -11,9 +11,10 @@ Four subcommands:
 * ``reproduce``: run the whole fixed-seed inequality suite.
 
 Exit codes: 0 success, 1 an unsatisfied relation or a failed
-experiment threshold, 2 usage errors, 3 unreadable or unparsable input
-files.  Human-readable tables go to stdout; machine-readable output
-(JSON lines, CSV) only ever goes to files named by --out.
+experiment threshold, 2 usage errors and --out paths that cannot be
+written, 3 unreadable or unparsable input files.  Human-readable tables
+go to stdout; machine-readable output (JSON lines, CSV) only ever goes
+to files named by --out.
 """
 
 from __future__ import annotations
@@ -30,6 +31,28 @@ from .relations import check_all, describe, load_assignment, load_relations
 from .verify import ExperimentReport, write_reports
 
 MAX_DIM = 512
+
+
+class OutputError(Exception):
+    """An --out path that cannot be written."""
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse, before any work, an --out path that names a directory or
+    lies in none; other write failures surface when writing."""
+    if not path:
+        return
+    if Path(path).is_dir():
+        raise OutputError(f"{path!r} is a directory")
+    if not Path(path).parent.is_dir():
+        raise OutputError(f"no directory {str(Path(path).parent)!r}")
+
+
+def _write_out(write, path: str, items) -> None:
+    try:
+        write(path, items)
+    except OSError as err:
+        raise OutputError(err) from None
 
 
 def _require_positive(value: int | None, flag: str) -> None:
@@ -122,13 +145,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     _, relations = load_relations(args.relfile)
     assignment = load_assignment(args.matfile)
     schedule = CompressionSchedule.parse(args.schedule, args.cutoff)
     rows = residual_curves(assignment, relations, schedule, args.procedure,
                            _policy(args))
     if args.out:
-        write_residual_csv(args.out, rows)
+        _write_out(write_residual_csv, args.out, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(f"{'rank':>5} {'residual':>13} {'alpha':>9} {'defect':>9}  relation")
@@ -153,13 +177,15 @@ def _report(reports: list[ExperimentReport], out: str | None) -> int:
               f"({rep.runtime_ms:.0f} ms)")
         all_passed = all_passed and rep.passed
     if out:
-        write_reports(out, reports)
+        _write_out(write_reports, out, reports)
         print(f"wrote {len(reports)} report(s) to {out}")
     return 0 if all_passed else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.name
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     if args.dim is not None and not 1 <= args.dim <= MAX_DIM:
         raise ValueError(f"--dim must lie in [1, {MAX_DIM}]")
     _require_positive(args.count, "--count")
@@ -171,6 +197,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             ("--budget", args.budget is not None, name == "commutator")):
         if given and not read:
             raise ValueError(f"experiment {name!r} takes no {what}")
+    _check_out(args.out)
     text = None if args.relfile is None else Path(args.relfile).read_text()
     report = verify.run_experiment(name, args.seed, args.dim, args.count,
                                    args.budget, text, _policy(args))
@@ -179,6 +206,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     _require_positive(args.budget, "--budget")
+    _check_out(args.out)
     return _report(verify.run_reproduction(commutator_budget=args.budget),
                    args.out)
 
@@ -194,6 +222,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"cannot read input: {err}", file=sys.stderr)
         return 3
+    except OutputError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -162,8 +162,9 @@ def spectrum_values(m: np.ndarray) -> np.ndarray:
 
 
 def from_spectrum(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    """Reassemble v diag(fw) v* from eigenvectors and (new) eigenvalues."""
-    return (v * fw) @ adjoint(v)
+    """Reassemble v diag(fw) v* from eigenvectors and (new) eigenvalues;
+    of each matrix in a stack when v is (K, n, n) and fw is (K, n)."""
+    return (v * fw[..., None, :]) @ adjoint(v)
 
 
 def hermitian_calculus(f, a, policy: TolerancePolicy = DEFAULT_POLICY
@@ -179,8 +180,11 @@ def hermitian_calculus(f, a, policy: TolerancePolicy = DEFAULT_POLICY
 
 
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential of an arbitrary square matrix."""
-    return scipy.linalg.expm(as_matrix(a))
+    """Matrix exponential of an arbitrary square matrix, or of each matrix
+    in a (K, n, n) stack, validated as by :func:`op_norms`; a stacked
+    exponential equals the exponential of each row bit for bit."""
+    m = np.asarray(a, dtype=complex)
+    return scipy.linalg.expm(_checked(m, 3 if m.ndim == 3 else 2))
 
 
 def eigenvalues(a, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

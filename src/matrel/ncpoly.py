@@ -336,7 +336,8 @@ def tokenize(text: str) -> list[Token]:
 
     A number immediately followed by a lone ``i`` is an imaginary
     literal; ``2i`` is imaginary while ``2ix`` is the number 2 followed
-    by the identifier ``ix``.  A number that overflows to inf is a
+    by the identifier ``ix``.  A number that overflows to inf, or a
+    nonzero one that underflows to 0.0 (``1e-400``, not ``0e5``), is a
     ParseError.
     """
     tokens: list[Token] = []
@@ -350,7 +351,9 @@ def tokenize(text: str) -> list[Token]:
         m = _NUM_RE.match(text, i)
         if m:
             value = float(m.group())
-            if math.isinf(value):
+            # a nonzero digit before the exponent makes the literal nonzero
+            mantissa = m.group().upper().partition("E")[0]
+            if math.isinf(value) or (value == 0.0 and mantissa.strip("0.")):
                 raise ParseError(f"number {m.group()!r} is out of range", i)
             end = m.end()
             if end < n and text[end] == "i" and (

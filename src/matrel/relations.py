@@ -175,6 +175,13 @@ _KIND_RELATIONS = {
 }
 
 
+def side_relations(variables: Iterable[Variable]) -> list[Relation]:
+    """The relations the variables' kinds imply, in declaration order;
+    :func:`parse_relations` puts them ahead of a file's explicit ones."""
+    return [_KIND_RELATIONS[v.kind](v.name)
+            for v in variables if v.kind in _KIND_RELATIONS]
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of checking one relation (or a whole set).
@@ -423,9 +430,7 @@ def parse_relations(text: str) -> tuple[dict[str, Variable], list[Relation]]:
         raise ParseError("a relation file starts with declarations", tok.pos)
     varset = tuple(variables.values())
 
-    relations: list[Relation] = [
-        _KIND_RELATIONS[v.kind](v.name)
-        for v in variables.values() if v.kind in _KIND_RELATIONS]
+    relations = side_relations(variables.values())
 
     while stream.peek().kind == "ident" and stream.peek().value == "rel":
         rel_tok = stream.next()
@@ -551,9 +556,7 @@ def format_relations(variables: Mapping[str, Variable] | Iterable[Variable],
     for v in ordered:
         kind = "" if v.kind == "general" else f" {v.kind}"
         lines.append(f"var {v.name}{kind};")
-    pending = [
-        _KIND_RELATIONS[v.kind](v.name)
-        for v in ordered if v.kind in _KIND_RELATIONS]
+    pending = side_relations(ordered)
     for rel in relations:
         if rel in pending:
             pending.remove(rel)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matrel import verify
+from matrel import cli, verify
 from matrel.cli import build_parser, main
 from matrel.relations import Assignment, format_assignment
 from matrel.approx import model
@@ -140,6 +140,11 @@ def test_bad_option_values_exit_two(tmp_path, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {flag} must be at least 1\n"
+    # a negative seed is refused before numpy sees it
+    for name in verify.EXPERIMENT_NAMES:
+        assert main(["experiment", name, "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --seed must be at least 0\n"
     # only positivity reads a relation file
     assert main(["experiment", "expnorm", rel, "--seed", "1"]) == 2
     with pytest.raises(SystemExit) as info:
@@ -173,6 +178,54 @@ def test_flags_an_experiment_does_not_read_are_usage_errors(capsys):
         assert main(["experiment", "commutator", "--seed", "1", "--dim", "2",
                      "--budget", "50", "--count", count]) == 2
         assert "--count" in capsys.readouterr().err
+
+def test_underflowing_literal_exits_three(tmp_path, capsys):
+    mat = _mat_file(tmp_path, "one.mat", {"x": np.eye(2)})
+    for text in ("rel 1e-400 x = 0;", "rel norm(x) < 1e-400;"):
+        rel = _write(tmp_path, "tiny.rel", f"var x;\n{text}\n")
+        assert main(["check", rel, mat]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "parse error: number '1e-400' is out of range")
+    # zero written with an exponent is still zero
+    rel = _write(tmp_path, "zero.rel", "var x;\nrel norm(0e5 x + x) <= 1;\n")
+    assert main(["check", rel, mat]) == 0
+
+
+def test_unwritable_out_paths_exit_two(tmp_path, capsys, monkeypatch):
+    rel, mat = _torus_files(tmp_path, dim=4)
+    missing = str(tmp_path / "no" / "such" / "dir" / "out.txt")
+    runs = (["approx", rel, mat, "--procedure", "loewner", "--schedule", "2,4"],
+            ["experiment", "expnorm", "--seed", "1", "--count", "2"],
+            ["reproduce", "--budget", "1"])
+    for argv in runs:
+        for out, why in ((missing, "no directory"),
+                         (str(tmp_path), "is a directory")):
+            assert main(argv + ["--out", out]) == 2
+            stdout, err = capsys.readouterr()
+            # refused before the run, so nothing is printed
+            assert stdout == "" and err.startswith("cannot write output: ")
+            assert why in err and err.count("\n") == 1
+    # a failure that only writing shows comes after the run, with its reason
+    def refuse(path, items):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(cli, "write_reports", refuse)
+    monkeypatch.setattr(cli, "write_residual_csv", refuse)
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "cannot write output: [Errno 13] Permission denied")
+
+
+def test_positivity_without_explicit_relations_exits_two(tmp_path, capsys):
+    for text in ("var x;\n", "var x positive;\nvar u unitary;\n"):
+        decl = _write(tmp_path, "decl.rel", text)
+        assert main(["experiment", "positivity", decl, "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: the positivity check needs at least one explicit "
+            "relation\n")
+
 
 def test_check_overflow_is_a_failing_verdict(tmp_path, capsys):
     rel = _write(tmp_path, "big.rel",

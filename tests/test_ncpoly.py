@@ -116,6 +116,8 @@ def test_double_star_cancels():
         ("", ParseError),
         # numbers and coefficients must stay finite
         ("1e309 x", ParseError),
+        ("1e-400 x", ParseError),
+        ("0.0001e-397 x", ParseError),
         ("1e308 x + 1e308 x", PolyError),
         ("10 (1e308 x)", PolyError),
         ("(1e200 x)^2", PolyError),
@@ -124,6 +126,17 @@ def test_double_star_cancels():
 def test_rejected_inputs(text, err):
     with pytest.raises(err):
         parse_poly(text, GEN)
+
+
+def test_number_literals_out_of_range():
+    from matrel.ncpoly import tokenize
+    for text in ("1e309", "1e-400", "0.0001e-397", "000.10E-999"):
+        with pytest.raises(ParseError, match=f"number '{text}' is out of range"):
+            tokenize(text)
+    # zero written any way is zero, and the smallest subnormal is not zero
+    for text, value in (("0e5", 0.0), ("0.0e-400", 0.0), ("00.", 0.0),
+                        ("5e-324", 5e-324)):
+        assert tokenize(text)[0].value == value
 
 
 def test_underflowing_coefficient_drops_its_monomial():

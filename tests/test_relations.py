@@ -89,6 +89,10 @@ def test_relation_file_round_trip():
         "var x;\nrel 1e308 x + 1e308 x = 0;",
         "var x;\nrel 10 (1e308 x) = 0;",
         "var x;\nrel (1e200 x)^2 = 0;",
+        # nonzero literals that underflow to 0
+        "var x;\nrel 1e-400 x = 0;",
+        "var x;\nrel norm(x) < 1e-400;",
+        "var x;\nrel re(x) <= 1e-400;",
     ],
 )
 def test_rejected_relation_files(text):

@@ -205,6 +205,15 @@ def test_positivity_transfer_rejects_empty_runs(dims, count, words):
                                   seed=606, count=count)
 
 
+@pytest.mark.parametrize("text", [
+    "var x;\n",
+    "var x positive;\nvar y hermitian;\nvar u unitary;\nvar c contraction;\n",
+])
+def test_positivity_transfer_rejects_files_without_explicit_relations(text):
+    with pytest.raises(ValueError, match="at least one explicit relation"):
+        positivity_transfer_check(text, dims=(2,), seed=1, count=3)
+
+
 def test_heinz_experiment_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="at least one exponent"):
         heinz_experiment(Ensemble(3, seed=8, count=2), nus=())
