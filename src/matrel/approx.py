@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -64,7 +64,7 @@ class Cutoff:
             return cls()
         if text.startswith("ramp:"):
             try:
-                if (width := int(text[5:])) >= 1:
+                if (width := _digits(text[5:])) >= 1:
                     return cls(width)
             except ValueError:
                 pass
@@ -79,6 +79,14 @@ class Cutoff:
 
 
 SHARP = Cutoff()
+
+
+def _digits(text: str) -> int:
+    """The number written as plain ASCII digits.  ``int`` also takes a
+    sign, underscores, surrounding spaces and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a run of ASCII digits: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class CompressionSchedule:
               ) -> "CompressionSchedule":
         """Parse a comma-separated rank list and a cutoff description."""
         try:
-            ranks = tuple(int(r) for r in ranks_text.split(","))
+            ranks = tuple(_digits(r.strip()) for r in ranks_text.split(","))
         except ValueError:
             raise ValueError(f"bad schedule {ranks_text!r}; use e.g. 8,16,32")
         return cls(ranks, Cutoff.parse(cutoff_text))
@@ -118,12 +126,35 @@ def cutoff_step(a: Assignment, cutoff: Cutoff, rank: int
     the cutoff diagonal at ``rank``, and each variable gets its
     quasi-centrality defect ||u m - m u||.  Sharp makes u the rank
     projection, so the cut is the zero-padded corner."""
+    corners, defects = _corner_step(a, cutoff, rank)
+    return _padded(corners, a.dim), defects
+
+
+def _corner_step(a: Assignment, cutoff: Cutoff, rank: int
+                 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """:func:`cutoff_step` on the nonzero corner.  Both profiles weigh
+    coordinate i above 0 exactly when i < rank, so u m u is zero outside
+    its leading k x k block, k = min(dim, rank); this returns that block
+    of each matrix, and the defects of the full step.  The defect of a
+    matrix that commutes with u exactly, such as a diagonal one, is 0
+    without an SVD."""
     w = cutoff.weights(a.dim, rank)
-    cut = Assignment({name: (w[:, None] * m) * w[None, :]
-                      for name, m in a.items()})
-    defects = {name: matcalc.op_norm(w[:, None] * m - m * w[None, :])
+    k = min(a.dim, max(rank, 0))
+    wk = w[:k]
+    corners = {name: (wk[:, None] * m[:k, :k]) * wk[None, :]
                for name, m in a.items()}
-    return cut, defects
+    defects = {}
+    for name, m in a.items():
+        gap = w[:, None] * m - m * w[None, :]
+        defects[name] = matcalc.op_norm(gap) if gap.any() else 0.0
+    return corners, defects
+
+
+def _padded(mats, dim: int) -> Assignment:
+    """The assignment of the matrices each followed by zero rows and
+    columns up to ``dim``."""
+    return Assignment({name: np.pad(m, (0, dim - len(m)))
+                       for name, m in mats.items()})
 
 
 def loewner_step(a: Assignment, rank: int) -> Assignment:
@@ -142,6 +173,8 @@ class QuasicentralStep:
     ``defects`` maps variable names to ||u m - m u||, the quasi-centrality
     defect of the cutoff at this rank; ``bound_norms`` maps tracked
     relation labels to the polynomial norm after rescaling.
+    ``assignment`` is the full-dimension step, except inside
+    ``residual_curves``, which keeps only its nonzero corner.
     """
 
     rank: int
@@ -180,18 +213,23 @@ def quasicentral_approximation(
     ||p(y)|| = alpha^d ||p(x_u)|| never exceeds ||p(x)||, so a satisfied
     norm bound stays satisfied at every rank.
     """
-    return _steps(a, _tracked_bounds(relations), schedule, policy)
+    return [replace(step, assignment=_padded(step.assignment, a.dim))
+            for step in _steps(a, _tracked_bounds(relations), schedule,
+                               policy)]
 
 
 def _steps(a: Assignment, bounds: Sequence[NormBound],
            schedule: CompressionSchedule,
            policy: TolerancePolicy) -> list[QuasicentralStep]:
     """One cutoff step per rank, rescaled so that no tracked bound's norm
-    grows; with no bounds to track, alpha stays 1."""
+    grows; with no bounds to track, alpha stays 1.  Each step holds the
+    nonzero corner of its assignment.  A polynomial has no constant
+    term, so its norm on the corner is its norm on the zero padding."""
     originals = [matcalc.op_norm(evaluate(b.poly, a, policy)) for b in bounds]
     steps = []
     for rank in schedule.ranks:
-        cut_a, defects = cutoff_step(a, schedule.cutoff, rank)
+        corners, defects = _corner_step(a, schedule.cutoff, rank)
+        cut_a = Assignment(corners)
         alpha = 1.0
         cut_norms = []
         for b, orig in zip(bounds, originals):
@@ -350,6 +388,11 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
     schedule's cutoff with rescaling; the norm-bound members of
     ``relations`` drive the rescaling, while every relation is checked).
     Rows have keys rank, relation, residual, alpha, defect.
+
+    Each residual is computed on the step's nonzero k x k corner, k =
+    min(dim, rank), with the exact padding rules of
+    :func:`~matrel.relations.residual`; it agrees with the residual of
+    the full-dimension step to rounding.
     """
     if not relations:
         raise ValueError(
@@ -370,7 +413,8 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
             rows.append({
                 "rank": step.rank,
                 "relation": describe(rel),
-                "residual": residual(rel, step.assignment, policy).residual,
+                "residual": residual(rel, step.assignment, policy,
+                                     a.dim - step.assignment.dim).residual,
                 "alpha": step.alpha,
                 "defect": defect,
             })

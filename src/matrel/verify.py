@@ -120,6 +120,9 @@ class Ensemble:
             raise ValueError("ensemble dimension must be at least 1")
         if self.count < 1:
             raise ValueError("ensemble count must be at least 1")
+        if self.seed < 0:
+            raise ValueError(
+                f"ensemble seed must be at least 0, got {self.seed}")
 
     def draw(self, index: int, role: int = 0, *, kind: str):
         """Sample ``index`` in stream ``role``; ``kind`` names a sampler."""
@@ -402,6 +405,8 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     start = time.perf_counter()
     evals = 0
     best = -math.inf
@@ -524,6 +529,8 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if not dims:
         raise ValueError("the positivity check needs at least one dimension")
     if min(dims) < 1:

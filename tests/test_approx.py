@@ -48,8 +48,12 @@ def test_cutoff_parse_and_str():
     assert Cutoff.parse("ramp:4") == Cutoff(4)
     assert Cutoff.parse(str(Cutoff(2))) == Cutoff(2)
     assert str(SHARP) == "sharp" and Cutoff(0) == SHARP
-    for bad in ("ramp", "ramp:0", "box:3", "sharp:1"):
-        with pytest.raises(ValueError):
+    assert Cutoff.parse("ramp:08") == Cutoff(8)
+    # widths are plain ASCII digits, which int() alone does not enforce
+    for bad in ("ramp", "ramp:0", "box:3", "sharp:1", "ramp:1_0", "ramp:+8",
+                "ramp: 8", "ramp:8 ", "ramp:\u0663", "ramp:\uff18",
+                "ramp:-1", "ramp:"):
+        with pytest.raises(ValueError, match="bad cutoff"):
             Cutoff.parse(bad)
     with pytest.raises(ValueError):
         Cutoff(-1)
@@ -58,6 +62,13 @@ def test_cutoff_parse_and_str():
 def test_schedule_validation():
     s = CompressionSchedule.parse("8,16,32", "sharp")
     assert s.ranks == (8, 16, 32) and s.cutoff == SHARP
+    # whitespace around a comma stays legal
+    assert CompressionSchedule.parse(" 8 , 16,\t32 ").ranks == (8, 16, 32)
+    # ranks are plain ASCII digits, which int() alone does not enforce
+    for bad in ("8,1_6", "8,+16", "8,\u0661\u0666", "8,\uff11\uff16", "8,-16",
+                "8,,16", "", "8,16.0", "8,1 6"):
+        with pytest.raises(ValueError, match="bad schedule"):
+            CompressionSchedule.parse(bad)
     with pytest.raises(ValueError):
         CompressionSchedule((4, 4), SHARP)
     with pytest.raises(ValueError):
@@ -124,7 +135,13 @@ def test_sharp_step_is_the_zero_padded_corner():
             expected.append({"rank": rank, "relation": describe(rel),
                              "residual": verdict.residual,
                              "alpha": 1.0, "defect": defect})
-    assert rows == expected
+    # The curves evaluate each relation on the nonzero corner, which
+    # agrees with the zero-padded matrices to rounding.
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        res, close = got.pop("residual"), want.pop("residual")
+        assert abs(res - close) <= 1e-12 * max(1.0, close)
+        assert got == want
 
 
 def test_loewner_step_preserves_order_relations():

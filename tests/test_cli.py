@@ -122,6 +122,16 @@ def test_bad_option_values_exit_two(tmp_path, capsys):
     # loewner is the sharp cutoff; a ramp would be silently ignored
     assert main(["approx", rel, mat, "--procedure", "loewner",
                  "--schedule", "4,8", "--cutoff", "ramp:2"]) == 2
+    # ranks and widths are plain ASCII digits
+    capsys.readouterr()
+    for schedule in ("8,1_6", "4,+8", "4,\u0668"):
+        assert main(["approx", rel, mat, "--procedure", "loewner",
+                     "--schedule", schedule]) == 2
+        assert capsys.readouterr().err.startswith("error: bad schedule")
+    for cutoff in ("ramp:1_0", "ramp:+8", "ramp: 8", "ramp:\u0663"):
+        assert main(["approx", rel, mat, "--procedure", "quasicentral",
+                     "--schedule", "4,8", "--cutoff", cutoff]) == 2
+        assert capsys.readouterr().err.startswith("error: bad cutoff")
     # a file with declarations only leaves no residual to track
     bare = _write(tmp_path, "bare.rel", "var x;\n")
     one = _mat_file(tmp_path, "one.mat", {"x": np.eye(2)})

@@ -214,6 +214,23 @@ def test_positivity_transfer_rejects_files_without_explicit_relations(text):
         positivity_transfer_check(text, dims=(2,), seed=1, count=3)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**63])
+def test_negative_seeds_are_rejected_up_front(seed):
+    named = f"at least 0, got {seed}"
+    with pytest.raises(ValueError, match=named):
+        Ensemble(3, seed, 2)
+    with pytest.raises(ValueError, match=named):
+        commutator_sqrt_search(2, seed=seed, budget=5)
+    with pytest.raises(ValueError, match=named):
+        commutator_sqrt_search(2, seed=seed, budget=5,
+                               pair_stream=iter(()))
+    with pytest.raises(ValueError, match=named):
+        positivity_transfer_check(DEFAULT_POSITIVITY_RELATIONS, dims=(2,),
+                                  seed=seed, count=3)
+    # seed 0 is the smallest legal seed
+    assert Ensemble(3, 0, 2).seed == 0
+
+
 def test_heinz_experiment_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="at least one exponent"):
         heinz_experiment(Ensemble(3, seed=8, count=2), nus=())
