@@ -19,6 +19,11 @@ Convergence to the original is measured in the *-strong sense: a probe
 is a finite family of unit vectors, and the residual is the worst
 difference on the probe, applied to the operators and their adjoints.
 
+A cut matrix is the direct sum a (+) 0_j of a leading block and a zero
+block, and every relation gives it the same verdict for all j >= 1 (see
+:func:`_corner_step`), so the residual curves keep one zero row and
+column of each cut.
+
 Model operators (shifts, diagonal and multiplication operators, clock
 and modular shift matrices) provide the structured assignments these
 procedures are interesting on.  Truncation-convergent kinds (everything
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -41,6 +47,14 @@ from . import matcalc
 from .matcalc import DEFAULT_POLICY, TolerancePolicy
 from .ncpoly import evaluate, homogeneity
 from .relations import Assignment, NormBound, Relation, describe, residual
+
+
+def _index(value, what: str) -> int:
+    """``value`` if it is an integer; ``int`` would truncate 1.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,7 @@ class Cutoff:
     width: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "width", _index(self.width, "a cutoff width"))
         if self.width < 0:
             raise ValueError("a cutoff width must be at least 0")
 
@@ -101,13 +116,14 @@ class CompressionSchedule:
     cutoff: Cutoff = SHARP
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ranks",
+                           tuple(_index(r, "a rank") for r in self.ranks))
         if not self.ranks:
             raise ValueError("a schedule needs at least one rank")
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be at least 1")
         if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
             raise ValueError("ranks must be strictly increasing")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
 
     @classmethod
     def parse(cls, ranks_text: str, cutoff_text: str = "sharp"
@@ -132,14 +148,20 @@ def cutoff_step(a: Assignment, cutoff: Cutoff, rank: int
 
 def _corner_step(a: Assignment, cutoff: Cutoff, rank: int
                  ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """:func:`cutoff_step` on the nonzero corner.  Both profiles weigh
-    coordinate i above 0 exactly when i < rank, so u m u is zero outside
-    its leading k x k block, k = min(dim, rank); this returns that block
-    of each matrix, and the defects of the full step.  The defect of a
-    matrix that commutes with u exactly, such as a diagonal one, is 0
-    without an SVD."""
+    """:func:`cutoff_step` on its leading corner.  Both profiles weigh
+    coordinate i above 0 exactly when i < rank, so u m u is a (+) 0_j, a
+    its leading rank x rank block and j = dim - rank.  This returns the
+    leading k x k block of each matrix, k = min(dim, rank + 1), and the
+    defects of the full step.  One zero row and column stand for all j:
+    every margin reads a norm or an extreme eigenvalue of
+    f(a (+) 0_j) = f(a) (+) f(0) 1_j, where f is a polynomial without
+    constant term (f(0) = 0), u -> u* u - 1 (f(0) = -1) or exp of the
+    real part (f(0) = 1), and the slack reads the norms of a, so every
+    verdict is the same for all j >= 1.  The defect of a matrix that
+    commutes with u exactly, such as a diagonal one, is 0 without an
+    SVD."""
     w = cutoff.weights(a.dim, rank)
-    k = min(a.dim, max(rank, 0))
+    k = min(a.dim, max(rank, 0) + 1)
     wk = w[:k]
     corners = {name: (wk[:, None] * m[:k, :k]) * wk[None, :]
                for name, m in a.items()}
@@ -174,7 +196,7 @@ class QuasicentralStep:
     defect of the cutoff at this rank; ``bound_norms`` maps tracked
     relation labels to the polynomial norm after rescaling.
     ``assignment`` is the full-dimension step, except inside
-    ``residual_curves``, which keeps only its nonzero corner.
+    ``residual_curves``, which keeps only its leading corner.
     """
 
     rank: int
@@ -223,8 +245,8 @@ def _steps(a: Assignment, bounds: Sequence[NormBound],
            policy: TolerancePolicy) -> list[QuasicentralStep]:
     """One cutoff step per rank, rescaled so that no tracked bound's norm
     grows; with no bounds to track, alpha stays 1.  Each step holds the
-    nonzero corner of its assignment.  A polynomial has no constant
-    term, so its norm on the corner is its norm on the zero padding."""
+    leading corner of :func:`_corner_step`.  A polynomial has no constant
+    term, so its norm on the corner is its norm on the full step."""
     originals = [matcalc.op_norm(evaluate(b.poly, a, policy)) for b in bounds]
     steps = []
     for rank in schedule.ranks:
@@ -272,20 +294,21 @@ class StarStrongProbe:
 
     @classmethod
     def coordinates(cls, dim: int, indices) -> "StarStrongProbe":
-        vecs = []
+        indices = list(indices)
         for i in indices:
-            e = np.zeros(dim)
-            e[i] = 1.0
-            vecs.append(e)
-        return cls(vecs)
+            if not 0 <= i < dim:
+                raise ValueError(f"coordinate index {i} is outside [0, {dim})")
+        return cls(np.eye(dim)[indices])
 
     @classmethod
     def random(cls, dim: int, count: int, seed: int,
                support: int | None = None) -> "StarStrongProbe":
         """Random unit vectors, optionally supported on the first
         ``support`` coordinates."""
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
         k = dim if support is None else support
+        if not 1 <= k <= dim:
+            raise ValueError(f"support {k} is outside [1, {dim}]")
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         vecs = []
         for _ in range(count):
             v = np.zeros(dim, dtype=complex)
@@ -389,10 +412,9 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
     ``relations`` drive the rescaling, while every relation is checked).
     Rows have keys rank, relation, residual, alpha, defect.
 
-    Each residual is computed on the step's nonzero k x k corner, k =
-    min(dim, rank), with the exact padding rules of
-    :func:`~matrel.relations.residual`; it agrees with the residual of
-    the full-dimension step to rounding.
+    Each residual is computed on the step's leading corner (see
+    :func:`_corner_step`) and agrees with the residual of the
+    full-dimension step to rounding.
     """
     if not relations:
         raise ValueError(
@@ -413,8 +435,7 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
             rows.append({
                 "rank": step.rank,
                 "relation": describe(rel),
-                "residual": residual(rel, step.assignment, policy,
-                                     a.dim - step.assignment.dim).residual,
+                "residual": residual(rel, step.assignment, policy).residual,
                 "alpha": step.alpha,
                 "defect": defect,
             })

@@ -251,11 +251,8 @@ class Assignment:
 
 
 def residual(rel: Relation, a: Assignment,
-             policy: TolerancePolicy = DEFAULT_POLICY, pad: int = 0
-             ) -> Verdict:
-    """Check one relation against an assignment, or against its zero
-    padding: every matrix of ``a`` followed by ``pad`` zero rows and
-    columns.
+             policy: TolerancePolicy = DEFAULT_POLICY) -> Verdict:
+    """Check one relation against an assignment.
 
     Relations whose margin is an eigenvalue bound need a Hermitian
     matrix; when the evaluated matrix is not Hermitian within tolerance,
@@ -267,20 +264,10 @@ def residual(rel: Relation, a: Assignment,
     so a non-finite entry can only come from the evaluation.  So does a
     fractional power of a matrix that is not Hermitian or not positive,
     with the error's text as the detail.
-
-    A padded verdict is computed on ``a`` alone, with exact rules for
-    the zero rows and columns.  A polynomial has no constant term, so
-    its value on the padded matrices is its value on ``a``, padded the
-    same way: norms and Hermitian defects are unchanged, and each
-    spectrum gains an eigenvalue 0.  The unitarity defect and the norm
-    of exp(re m) are at least 1, since the padding adds a block -1 to
-    u* u - 1 and a block 1 to exp(re m).
     """
-    if pad < 0:
-        raise ValueError(f"pad must be at least 0, got {pad}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _residual(rel, a, policy, pad)
+            return _residual(rel, a, policy)
     except matcalc.NonFiniteError:
         return Verdict(False, -math.inf, math.inf,
                        "evaluation overflowed to non-finite entries")
@@ -288,15 +275,9 @@ def residual(rel: Relation, a: Assignment,
         return Verdict(False, -math.inf, math.inf, str(err))
 
 
-def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy,
-              pad: int = 0) -> Verdict:
+def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
+              ) -> Verdict:
     eq_slack, psd_slack = policy.slack(a.max_norm())
-
-    def values(m: np.ndarray) -> np.ndarray:
-        """Ascending spectrum of m's Hermitian part, padded: an
-        eigenvalue 0 joins it in order when ``pad`` is not 0."""
-        w = matcalc.spectrum_values(m)
-        return np.insert(w, np.searchsorted(w, 0.0), 0.0) if pad else w
 
     def eig_margin(m: np.ndarray, what: str, low_of=lambda w: w[0]
                    ) -> tuple[float, str]:
@@ -309,7 +290,7 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy,
             if defect > eq_slack:
                 return (eq_slack - defect,
                         f"not self-adjoint, defect {defect:.3e}")
-        low = float(low_of(values(m)))
+        low = float(low_of(matcalc.spectrum_values(m)))
         return low + psd_slack, f"{what} {low:.6e}"
 
     match rel:
@@ -344,8 +325,6 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy,
             defect = max(
                 matcalc.op_norm(matcalc.adjoint(m0) @ m0 - eye),
                 matcalc.op_norm(m0 @ matcalc.adjoint(m0) - eye))
-            if pad:
-                defect = max(defect, 1.0)
             margin = eq_slack - defect
             detail = f"unitarity defect {defect:.6e}"
         case Contraction(var=v):
@@ -358,14 +337,12 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy,
                 evaluate(pz, a, policy))
             margin, detail = eig_margin(block, "min block eigenvalue")
         case RealPartBound(var=v, bound=beta):
-            high = float(values(a[v])[-1])
+            high = float(matcalc.spectrum_values(a[v])[-1])
             margin = beta - high + psd_slack
             detail = f"max eigenvalue of real part {high:.6e} vs {beta:g}"
         case ExpRealNormBound(var=v, bound=beta):
             w, vecs = matcalc.spectrum(a[v])
             norm = matcalc.op_norm(matcalc.from_spectrum(vecs, np.exp(w)))
-            if pad:
-                norm = max(norm, 1.0)
             margin = beta + eq_slack - norm
             detail = f"||exp(re m)|| = {norm:.6e} vs {beta:g}"
         case _:

@@ -57,6 +57,13 @@ def test_cutoff_parse_and_str():
             Cutoff.parse(bad)
     with pytest.raises(ValueError):
         Cutoff(-1)
+    # a width from Python must be an integer; Cutoff(1.5) would print as
+    # ramp:1.5, which parse refuses
+    for bad in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="width must be an integer"):
+            Cutoff(bad)
+    assert Cutoff(np.int64(3)) == Cutoff(3)
+    assert type(Cutoff(np.int64(3)).width) is int
 
 
 def test_schedule_validation():
@@ -75,6 +82,13 @@ def test_schedule_validation():
         CompressionSchedule((), SHARP)
     with pytest.raises(ValueError):
         CompressionSchedule((0, 2), SHARP)
+    # ranks from Python must be integers: 1.5 and 1.7 would both truncate
+    # to 1, a schedule that is not strictly increasing
+    for bad in ((1.5, 1.7), (2, 4.0), (0.5,), ("8",)):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            CompressionSchedule(bad, SHARP)
+    s = CompressionSchedule(np.array([2, 5]))
+    assert s.ranks == (2, 5) and all(type(r) is int for r in s.ranks)
 
 
 def test_loewner_step_is_cornerwise():
@@ -190,6 +204,17 @@ def test_star_strong_probe_validation():
         StarStrongProbe((e0, np.array([1.0, 0.0])))
     with pytest.raises(ValueError):
         StarStrongProbe(())
+
+
+def test_star_strong_probe_rejects_out_of_range_inputs():
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"index {bad} is outside"):
+            StarStrongProbe.coordinates(4, [0, bad])
+    for bad in (0, 5, 9):
+        with pytest.raises(ValueError, match=f"support {bad} is outside"):
+            StarStrongProbe.random(4, 2, 0, support=bad)
+    assert len(StarStrongProbe.coordinates(4, [0, 3]).vectors) == 2
+    assert StarStrongProbe.random(4, 2, 0, support=4).dim == 4
 
 
 def test_star_strong_probe_constructors():

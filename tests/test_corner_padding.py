@@ -1,17 +1,17 @@
-"""Residuals on the nonzero corner of a cut assignment.
+"""Residuals on the leading corner of a cut assignment.
 
 ``residual_curves`` checks each cut step on its leading k x k block, k =
-min(dim, rank), and ``relations.residual(..., pad)`` adds exact rules for
-the dim - k zero rows and columns.  The oracle here is the explicit
-zero-padded assignment that ``cutoff_step`` returns: for every relation
-kind, both give the same verdict, and residuals and margins agree to
-rounding.
+min(dim, rank + 1): below full rank the block keeps one of the cut's
+zero rows and columns, which stands for all dim - rank of them.  The
+oracle here is the explicit zero-padded assignment that ``cutoff_step``
+returns: for every relation kind, both give the same verdict, and
+residuals and margins agree to rounding.
 """
 
 import numpy as np
 import pytest
 
-from matrel import matcalc
+from matrel import approx, matcalc
 from matrel.approx import (
     SHARP,
     CompressionSchedule,
@@ -70,9 +70,9 @@ def _complex(rng, dim):
 
 def _oracle_assignment(seed, dim=DIM):
     """Dense random complex inputs.  p is positive definite and n negative
-    definite, so every cut with room to pad moves their extreme
+    definite, so every cut below full rank moves their extreme
     eigenvalues to 0; q is unitary, so a cut q has unitarity defect
-    below 1 on the corner and exactly 1 once padded."""
+    below 1 on its nonzero block and exactly 1 with a zero row."""
     rng = np.random.default_rng(seed)
     x = _complex(rng, dim)
     g = _complex(rng, dim)
@@ -118,35 +118,30 @@ def test_corner_residual_matches_the_zero_padded_assignment(seed, cutoff,
                                                             rank):
     a = _oracle_assignment(seed)
     cut, _ = cutoff_step(a, cutoff, rank)
-    k = min(DIM, rank)
-    corner = _corner(cut, k)
+    corner = Assignment(approx._corner_step(a, cutoff, rank)[0])
+    assert corner.dim == min(DIM, rank + 1)
     for rel in _oracle_relations():
         want = residual(rel, cut, POLICY)
-        got = residual(rel, corner, POLICY, pad=DIM - k)
-        label = (describe(rel), k)
+        got = residual(rel, corner, POLICY)
+        label = (describe(rel), rank)
         assert got.satisfied == want.satisfied, label
         assert _close(got.margin, want.margin), (label, got, want)
         assert _close(got.residual, want.residual), (label, got, want)
 
 
-def test_padding_rules_bite_on_the_oracle_inputs():
-    """Each padding rule changes some verdict's margin here, so the oracle
-    above would see it missing."""
+def test_the_zero_row_bites_on_the_oracle_inputs():
+    """Dropping the corner's zero row changes these verdicts' margins, so
+    the oracle above would see a corner cut at k = rank.  Rank DIM - 1
+    already keeps all of DIM, so the cut here is at DIM - 2."""
     a = _oracle_assignment(0)
-    cut, _ = cutoff_step(a, SHARP, DIM - 1)
-    corner = _corner(cut, DIM - 1)
+    rank = DIM - 2
+    cut, _ = cutoff_step(a, SHARP, rank)
     rels = (Unitary("q"), Positive("p"), Range01("p"),
             RealPartBound("n", 0.5), ExpRealNormBound("n", 1.5))
     for rel in rels:
-        bare = residual(rel, corner, POLICY)
-        padded = residual(rel, corner, POLICY, pad=1)
-        assert abs(bare.margin - padded.margin) > 1e-3, describe(rel)
-
-
-def test_pad_must_not_be_negative():
-    a = Assignment({"x": np.eye(2)})
-    with pytest.raises(ValueError, match="pad must be at least 0"):
-        residual(SelfAdjoint("x"), a, POLICY, pad=-1)
+        bare = residual(rel, _corner(cut, rank), POLICY)
+        kept = residual(rel, _corner(cut, rank + 1), POLICY)
+        assert abs(bare.margin - kept.margin) > 1e-3, describe(rel)
 
 
 @pytest.mark.parametrize("procedure, cutoff",
