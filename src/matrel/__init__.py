@@ -35,6 +35,7 @@ from .matcalc import (
     real_part,
 )
 from .ncpoly import (
+    Assignment,
     ConstantTermError,
     ExponentError,
     Monomial,
@@ -49,7 +50,6 @@ from .ncpoly import (
     parse_poly,
 )
 from .relations import (
-    Assignment,
     BlockPositive,
     Contraction,
     ExpRealNormBound,

@@ -45,16 +45,23 @@ import numpy as np
 
 from . import matcalc
 from .matcalc import DEFAULT_POLICY, TolerancePolicy
-from .ncpoly import evaluate, homogeneity
-from .relations import Assignment, NormBound, Relation, describe, residual
+from .ncpoly import Assignment, evaluate, homogeneity
+from .relations import NormBound, Relation, describe, residual
 
 
-def _index(value, what: str) -> int:
-    """``value`` if it is an integer; ``int`` would truncate 1.5."""
+def _index(value, what: str, low: int) -> int:
+    """``value`` as an ``int`` if it is an integer of at least ``low``, else
+    a ValueError naming ``what`` and the value.  ``int`` would truncate
+    1.5, and ``operator.index`` alone would take True for 1."""
     try:
-        return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,9 +75,8 @@ class Cutoff:
     width: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "width", _index(self.width, "a cutoff width"))
-        if self.width < 0:
-            raise ValueError("a cutoff width must be at least 0")
+        object.__setattr__(self, "width",
+                           _index(self.width, "a cutoff width", 0))
 
     @classmethod
     def parse(cls, text: str) -> "Cutoff":
@@ -117,11 +123,9 @@ class CompressionSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ranks",
-                           tuple(_index(r, "a rank") for r in self.ranks))
+                           tuple(_index(r, "a rank", 1) for r in self.ranks))
         if not self.ranks:
             raise ValueError("a schedule needs at least one rank")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks must be at least 1")
         if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
             raise ValueError("ranks must be strictly increasing")
 

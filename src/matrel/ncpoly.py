@@ -266,49 +266,86 @@ def homogeneity(p: NcPolynomial) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+class Assignment:
+    """An immutable map from variable names to same-dimension matrices.
+
+    Every matrix is square, finite and at least 1x1, checked once here;
+    :func:`evaluate` trusts an assignment it is given.
+    """
+
+    def __init__(self, matrices: Mapping[str, object]):
+        store: dict[str, np.ndarray] = {}
+        dim = None
+        for name, raw in matrices.items():
+            m = matcalc.as_matrix(raw).copy()
+            m.setflags(write=False)
+            if m.shape[0] == 0:
+                raise matcalc.MatrixError(
+                    f"{name!r} is 0x0; assignment matrices are at least 1x1")
+            if dim is None:
+                dim = m.shape[0]
+            elif m.shape[0] != dim:
+                raise matcalc.MatrixError(
+                    f"assignment mixes dimensions {dim} and {m.shape[0]}")
+            store[str(name)] = m
+        if dim is None:
+            raise PolyError("an assignment needs at least one variable")
+        self._store = store
+        self.dim = dim
+        self._max_norm: float | None = None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._store[name]
+        except KeyError:
+            raise PolyError(f"no matrix assigned to variable {name!r}") from None
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._store
+
+    def __iter__(self):
+        return iter(self._store)
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(self._store)
+
+    def items(self):
+        return self._store.items()
+
+    def max_norm(self) -> float:
+        if self._max_norm is None:
+            self._max_norm = max(matcalc.op_norm(m) for m in self._store.values())
+        return self._max_norm
+
+    def __repr__(self) -> str:
+        return f"Assignment(dim={self.dim}, vars={list(self._store)})"
+
+
 def evaluate(p: NcPolynomial, assignment,
              policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
              ) -> np.ndarray:
-    """Evaluate at a mapping from variable names to square matrices.
+    """Evaluate at an :class:`Assignment`; any other mapping from names
+    to matrices is converted to one first.
 
-    Every variable that occurs in a monomial of ``p`` must be assigned,
-    and all matrices used must share one dimension.  Fractional powers go
-    through the Hermitian functional calculus and require a spectrum that
-    is nonnegative within the positivity tolerance.  The zero polynomial
-    evaluates to the zero matrix of the first assigned matrix's
-    dimension.
+    Every variable that occurs in a monomial of ``p`` must be assigned.
+    Fractional powers go through the Hermitian functional calculus and
+    require a spectrum that is nonnegative within the positivity
+    tolerance.  The zero polynomial evaluates to the zero matrix of the
+    assignment's dimension.
     """
-    mats: dict[str, np.ndarray] = {}
-    dim = None
-    for name in dict.fromkeys(f[0] for mono in p.monomials for f in mono.word):
-        try:
-            m = assignment[name]
-        except KeyError:
-            raise PolyError(f"no matrix assigned to variable {name!r}") from None
-        m = matcalc.as_matrix(m)
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
-            raise matcalc.MatrixError(
-                f"dimension mismatch: {name!r} is {m.shape[0]}x{m.shape[0]}, "
-                f"expected {dim}x{dim}")
-        mats[name] = m
-    if dim is None:
-        first = next(iter(assignment), None)
-        if first is None:
-            raise PolyError("cannot infer a dimension from an empty assignment")
-        dim = matcalc.as_matrix(assignment[first]).shape[0]
+    a = (assignment if isinstance(assignment, Assignment)
+         else Assignment(assignment))
     # Each distinct factor is powered once per call, since a fractional
     # one costs a spectral decomposition; nothing is kept across calls.
     powers: dict[Factor, np.ndarray] = {}
     for factor in dict.fromkeys(f for mono in p.monomials for f in mono.word):
         name, star, exp = factor
-        base = matcalc.adjoint(mats[name]) if star else mats[name]
+        base = matcalc.adjoint(a[name]) if star else a[name]
         powers[factor] = (
             np.linalg.matrix_power(base, int(exp)) if exp.denominator == 1
             else matcalc.fractional_power(base, exp, policy))
     # acc starts at +0, which absorbs the sign of a zero in any product.
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = np.zeros((a.dim, a.dim), dtype=complex)
     for mono in p.monomials:
         acc += mono.coeff * functools.reduce(
             np.matmul, [powers[f] for f in mono.word])

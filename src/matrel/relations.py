@@ -47,6 +47,7 @@ from . import matcalc
 from .matcalc import DEFAULT_POLICY, TolerancePolicy
 from .ncpoly import (
     KINDS,
+    Assignment,
     NcPolynomial,
     ParseError,
     PolyError,
@@ -199,57 +200,6 @@ class Verdict:
     parts: tuple["Verdict", ...] = ()
 
 
-class Assignment:
-    """An immutable map from variable names to same-dimension matrices."""
-
-    def __init__(self, matrices: Mapping[str, object]):
-        store: dict[str, np.ndarray] = {}
-        dim = None
-        for name, raw in matrices.items():
-            m = matcalc.as_matrix(raw).copy()
-            m.setflags(write=False)
-            if m.shape[0] == 0:
-                raise matcalc.MatrixError(
-                    f"{name!r} is 0x0; assignment matrices are at least 1x1")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise matcalc.MatrixError(
-                    f"assignment mixes dimensions {dim} and {m.shape[0]}")
-            store[str(name)] = m
-        if dim is None:
-            raise ValueError("an assignment needs at least one variable")
-        self._store = store
-        self.dim = dim
-        self._max_norm: float | None = None
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self._store[name]
-        except KeyError:
-            raise PolyError(f"no matrix assigned to variable {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._store
-
-    def __iter__(self):
-        return iter(self._store)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._store)
-
-    def items(self):
-        return self._store.items()
-
-    def max_norm(self) -> float:
-        if self._max_norm is None:
-            self._max_norm = max(matcalc.op_norm(m) for m in self._store.values())
-        return self._max_norm
-
-    def __repr__(self) -> str:
-        return f"Assignment(dim={self.dim}, vars={list(self._store)})"
-
-
 def residual(rel: Relation, a: Assignment,
              policy: TolerancePolicy = DEFAULT_POLICY) -> Verdict:
     """Check one relation against an assignment.
@@ -320,11 +270,10 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             margin, detail = eig_margin(a[v], "distance into [0, 1]:",
                                         lambda w: min(w[0], 1.0 - w[-1]))
         case Unitary(var=v):
+            # For square u = W S V*, u*u - 1 = V (S^2 - 1) V* and
+            # uu* - 1 = W (S^2 - 1) W*: both norms are max |s_i^2 - 1|.
             m0 = a[v]
-            eye = np.eye(a.dim)
-            defect = max(
-                matcalc.op_norm(matcalc.adjoint(m0) @ m0 - eye),
-                matcalc.op_norm(m0 @ matcalc.adjoint(m0) - eye))
+            defect = matcalc.op_norm(matcalc.adjoint(m0) @ m0 - np.eye(a.dim))
             margin = eq_slack - defect
             detail = f"unitarity defect {defect:.6e}"
         case Contraction(var=v):

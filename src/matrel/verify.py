@@ -52,7 +52,7 @@ from .relations import (
     parse_relations,
     side_relations,
 )
-from .approx import model
+from .approx import _index, model
 
 
 def stream(seed: int, index: int, role: int = 0) -> np.random.Generator:
@@ -116,13 +116,11 @@ class Ensemble:
     count: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("ensemble dimension must be at least 1")
-        if self.count < 1:
-            raise ValueError("ensemble count must be at least 1")
-        if self.seed < 0:
-            raise ValueError(
-                f"ensemble seed must be at least 0, got {self.seed}")
+        for name, what, low in (("dim", "ensemble dimension", 1),
+                                ("seed", "ensemble seed", 0),
+                                ("count", "ensemble count", 1)):
+            object.__setattr__(self, name,
+                               _index(getattr(self, name), what, low))
 
     def draw(self, index: int, role: int = 0, *, kind: str):
         """Sample ``index`` in stream ``role``; ``kind`` names a sampler."""
@@ -260,6 +258,9 @@ def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
     """
     if not nus:
         raise ValueError("the heinz experiment needs at least one exponent")
+    for nu in nus:
+        if not 0 <= nu <= 1:
+            raise ValueError(f"a heinz exponent must lie in [0, 1], got {nu!r}")
     start = time.perf_counter()
     flat: list[float] = []
     for chunk in _chunks(e):
@@ -310,8 +311,8 @@ def monotone_experiment(power: float, e: Ensemble) -> ExperimentReport:
     never violate; the square should, and its report carries no
     threshold.
     """
-    if not power > 0:
-        raise ValueError("the power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError(f"the power must be positive and finite, got {power!r}")
     start = time.perf_counter()
     violations: list[float] = []
     for chunk in _chunks(e):
@@ -403,10 +404,9 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
     ``pair_stream`` replaces the random search with externally supplied
     (g, c) pairs, evaluated in order until the budget runs out.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    dim = _index(dim, "the search dimension", 1)
+    seed = _index(seed, "the seed", 0)
+    budget = _index(budget, "the budget", 1)
     start = time.perf_counter()
     evals = 0
     best = -math.inf
@@ -527,14 +527,11 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     a genuine violation.  A file without explicit relations is a
     ValueError, since only they can fail.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    count = _index(count, "the count", 1)
+    seed = _index(seed, "the seed", 0)
     if not dims:
         raise ValueError("the positivity check needs at least one dimension")
-    if min(dims) < 1:
-        raise ValueError("every dimension must be at least 1")
+    dims = [_index(dim, "every dimension", 1) for dim in dims]
     start = time.perf_counter()
     variables, rels = parse_relations(relations_text)
     # The side relations of the kinds hold for every sample by construction.
@@ -612,23 +609,28 @@ def run_experiment(name: str, seed: int, dim: int | None = None,
     :data:`DEFAULT_POSITIVITY_RELATIONS`) and ``policy``, and runs every
     dimension of :data:`POSITIVITY_DIMS` unless given one.
     """
+    def given(value, default):
+        return default if value is None else value
+
     if name == "expnorm":
-        return exp_norm_experiment(Ensemble(dim or 6, seed, count or 1000))
+        return exp_norm_experiment(
+            Ensemble(given(dim, 6), seed, given(count, 1000)))
     if name == "heinz":
-        return heinz_experiment(Ensemble(dim or 4, seed, count or 125))
+        return heinz_experiment(Ensemble(given(dim, 4), seed, given(count, 125)))
     if name == "monotone-sqrt":
-        return monotone_experiment(0.5, Ensemble(dim or 4, seed, count or 1000))
+        return monotone_experiment(
+            0.5, Ensemble(given(dim, 4), seed, given(count, 1000)))
     if name == "monotone-square":
-        return monotone_experiment(2.0, Ensemble(dim or 2, seed, count or 200))
+        return monotone_experiment(
+            2.0, Ensemble(given(dim, 2), seed, given(count, 200)))
     if name == "commutator":
-        return commutator_sqrt_search(dim or 4, seed,
-                                      budget or COMMUTATOR_BUDGET)
+        return commutator_sqrt_search(given(dim, 4), seed,
+                                      given(budget, COMMUTATOR_BUDGET))
     if name == "positivity":
-        if relations_text is None:
-            relations_text = DEFAULT_POSITIVITY_RELATIONS
         return positivity_transfer_check(
-            relations_text, dims=[dim] if dim else list(POSITIVITY_DIMS),
-            seed=seed, count=count or 40, policy=policy)
+            given(relations_text, DEFAULT_POSITIVITY_RELATIONS),
+            dims=list(POSITIVITY_DIMS) if dim is None else [dim],
+            seed=seed, count=given(count, 40), policy=policy)
     raise ValueError(f"unknown experiment {name!r}")
 
 

@@ -55,11 +55,12 @@ def test_cutoff_parse_and_str():
                 "ramp:-1", "ramp:"):
         with pytest.raises(ValueError, match="bad cutoff"):
             Cutoff.parse(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^a cutoff width must be at least 0, got -1$"):
         Cutoff(-1)
     # a width from Python must be an integer; Cutoff(1.5) would print as
     # ramp:1.5, which parse refuses
-    for bad in (1.5, 2.0, "2"):
+    for bad in (1.5, 2.0, "2", True):
         with pytest.raises(ValueError, match="width must be an integer"):
             Cutoff(bad)
     assert Cutoff(np.int64(3)) == Cutoff(3)
@@ -80,11 +81,11 @@ def test_schedule_validation():
         CompressionSchedule((4, 4), SHARP)
     with pytest.raises(ValueError):
         CompressionSchedule((), SHARP)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a rank must be at least 1, got 0$"):
         CompressionSchedule((0, 2), SHARP)
     # ranks from Python must be integers: 1.5 and 1.7 would both truncate
     # to 1, a schedule that is not strictly increasing
-    for bad in ((1.5, 1.7), (2, 4.0), (0.5,), ("8",)):
+    for bad in ((1.5, 1.7), (2, 4.0), (0.5,), ("8",), (True, 2)):
         with pytest.raises(ValueError, match="rank must be an integer"):
             CompressionSchedule(bad, SHARP)
     s = CompressionSchedule(np.array([2, 5]))

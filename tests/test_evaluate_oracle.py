@@ -22,36 +22,19 @@ from matrel.relations import (
 
 
 # The evaluator as it stood before each monomial became one reduction
-# over a table of factor powers, kept as the reference.
+# over a table of factor powers, kept as the reference.  Its own checks of
+# the matrices gave way to the Assignment prologue that evaluate has, so
+# both validate a plain dict the same way.
 def _identity_seeded_evaluate(p, assignment, policy=matcalc.DEFAULT_POLICY):
+    if not isinstance(assignment, Assignment):
+        assignment = Assignment(assignment)
     occurring = []
     for mono in p.monomials:
         for name, _, _ in mono.word:
             if name not in occurring:
                 occurring.append(name)
-    mats = {}
-    dim = getattr(assignment, "dim", None)
-    for name in occurring:
-        try:
-            m = assignment[name]
-        except KeyError:
-            raise PolyError(f"no matrix assigned to variable {name!r}") from None
-        m = matcalc.as_matrix(m)
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
-            raise matcalc.MatrixError(
-                f"dimension mismatch: {name!r} is {m.shape[0]}x{m.shape[0]}, "
-                f"expected {dim}x{dim}")
-        mats[name] = m
-    if dim is None:
-        values = getattr(assignment, "values", None)
-        if callable(values):
-            for m in values():
-                dim = matcalc.as_matrix(m).shape[0]
-                break
-    if dim is None:
-        raise PolyError("cannot infer a dimension from an empty assignment")
+    mats = {name: assignment[name] for name in occurring}
+    dim = assignment.dim
     acc = np.zeros((dim, dim), dtype=complex)
     fractional = {}
     for mono in p.monomials:

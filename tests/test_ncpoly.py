@@ -264,6 +264,29 @@ def test_evaluate_input_validation():
     assert np.allclose(out, [[4.0]])
 
 
+def test_evaluate_validates_a_plain_dict_as_an_assignment():
+    from matrel import relations
+    from matrel.matcalc import MatrixError, NonFiniteError
+    from matrel.ncpoly import Assignment
+
+    assert relations.Assignment is Assignment
+    x2 = parse_poly("x^2", GEN)
+    with pytest.raises(PolyError,
+                       match="^an assignment needs at least one variable$"):
+        evaluate(parse_poly("0", GEN), {})
+    # every matrix is checked, the unused ones too
+    with pytest.raises(MatrixError,
+                       match="^assignment mixes dimensions 2 and 3$"):
+        evaluate(x2, {"x": np.eye(2), "y": np.eye(3)})
+    with pytest.raises(MatrixError, match="^'y' is 0x0; assignment "):
+        evaluate(x2, {"x": np.eye(2), "y": np.zeros((0, 0))})
+    with pytest.raises(NonFiniteError, match="^matrix has non-finite"):
+        evaluate(x2, {"x": np.eye(2), "y": np.full((2, 2), np.nan)})
+    # an Assignment is used as it is given
+    a = Assignment({"x": 2 * np.eye(2), "y": np.eye(2)})
+    assert np.array_equal(evaluate(x2, a), 4 * np.eye(2))
+
+
 def test_seeded_random_round_trips():
     rng = np.random.default_rng(2026)
     vars_ = {"x": XH, "y": Y, "u": U}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from typing import Iterable
 
@@ -25,6 +26,7 @@ from matrel.verify import (
     heinz_experiment,
     monotone_experiment,
     positivity_transfer_check,
+    run_experiment,
     run_reproduction,
     soft_torus_relations,
     stream,
@@ -234,6 +236,87 @@ def test_negative_seeds_are_rejected_up_front(seed):
 def test_heinz_experiment_rejects_an_empty_grid():
     with pytest.raises(ValueError, match="at least one exponent"):
         heinz_experiment(Ensemble(3, seed=8, count=2), nus=())
+
+
+def _positivity(dims=(2,), seed=1, count=3):
+    return positivity_transfer_check(DEFAULT_POSITIVITY_RELATIONS, dims=dims,
+                                     seed=seed, count=count)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Ensemble(2.5, 0, 2),
+     "ensemble dimension must be an integer, got 2.5"),
+    (lambda: Ensemble(-1, 0, 2),
+     "ensemble dimension must be at least 1, got -1"),
+    (lambda: Ensemble(2, True, 2),
+     "ensemble seed must be an integer, got True"),
+    (lambda: Ensemble(2, 0, "3"),
+     "ensemble count must be an integer, got '3'"),
+    (lambda: commutator_sqrt_search(0, 0, 10),
+     "the search dimension must be at least 1, got 0"),
+    (lambda: commutator_sqrt_search(-1, 0, 10),
+     "the search dimension must be at least 1, got -1"),
+    (lambda: commutator_sqrt_search(2.0, 0, 10),
+     "the search dimension must be an integer, got 2.0"),
+    (lambda: commutator_sqrt_search(2, 0, 1.5),
+     "the budget must be an integer, got 1.5"),
+    (lambda: commutator_sqrt_search(2, True, 5, pair_stream=iter(())),
+     "the seed must be an integer, got True"),
+    (lambda: _positivity(dims=(2, 2.5)),
+     "every dimension must be an integer, got 2.5"),
+    (lambda: _positivity(seed=1.0), "the seed must be an integer, got 1.0"),
+    (lambda: _positivity(count=True),
+     "the count must be an integer, got True"),
+])
+def test_sizes_and_seeds_must_be_integers_in_range(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_sizes_from_numpy_are_kept_as_int():
+    e = Ensemble(np.int64(2), np.int32(3), np.uint8(4))
+    assert (e.dim, e.seed, e.count) == (2, 3, 4)
+    assert all(type(v) is int for v in (e.dim, e.seed, e.count))
+    rep = commutator_sqrt_search(np.int64(2), np.int64(0), np.int64(5))
+    assert json.loads(rep.to_json())["params"] == {
+        "dim": 2, "seed": 0, "budget": 5}
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda e: heinz_experiment(e, nus=[0.0, 1.5]),
+     "a heinz exponent must lie in [0, 1], got 1.5"),
+    (lambda e: heinz_experiment(e, nus=[-0.1]),
+     "a heinz exponent must lie in [0, 1], got -0.1"),
+    (lambda e: heinz_experiment(e, nus=[math.nan]),
+     "a heinz exponent must lie in [0, 1], got nan"),
+    (lambda e: monotone_experiment(math.inf, e),
+     "the power must be positive and finite, got inf"),
+    (lambda e: monotone_experiment(math.nan, e),
+     "the power must be positive and finite, got nan"),
+    (lambda e: monotone_experiment(0.0, e),
+     "the power must be positive and finite, got 0.0"),
+])
+def test_exponents_outside_their_domain_are_rejected(run, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(Ensemble(2, seed=3, count=2))
+
+
+@pytest.mark.parametrize("name, sizes, words", [
+    ("expnorm", {"count": 0}, "ensemble count must be at least 1, got 0"),
+    ("expnorm", {"dim": 0}, "ensemble dimension must be at least 1, got 0"),
+    ("heinz", {"count": 0}, "ensemble count must be at least 1, got 0"),
+    ("monotone-sqrt", {"dim": 0}, "ensemble dimension must be at least 1"),
+    ("monotone-square", {"count": 0}, "ensemble count must be at least 1"),
+    ("commutator", {"dim": 0}, "search dimension must be at least 1, got 0"),
+    ("commutator", {"budget": 0}, "budget must be at least 1, got 0"),
+    ("positivity", {"dim": 0, "count": 1},
+     "every dimension must be at least 1, got 0"),
+    ("positivity", {"count": 0}, "count must be at least 1, got 0"),
+])
+def test_run_experiment_passes_an_explicit_zero_on(name, sizes, words):
+    # 0 is not "unset": it reaches the experiment's own check
+    with pytest.raises(ValueError, match=words):
+        run_experiment(name, 0, **sizes)
 
 
 def test_clock_shift_pair_against_soft_torus_file():
