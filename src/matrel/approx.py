@@ -380,8 +380,7 @@ def model(kind: str, dim: int,
         raise ValueError(f"model {kind!r} needs a rule")
     if not needs_rule and rule is not None:
         raise ValueError(f"model {kind!r} takes no rule")
-    if dim < 1:
-        raise ValueError("model dimension must be at least 1")
+    dim = _index(dim, "model dimension", 1)
     if kind == "unilateral_shift":
         return np.eye(dim, k=-1, dtype=complex)
     if kind == "diagonal":

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 
 class MatrixError(ValueError):
@@ -183,6 +182,11 @@ def matrix_exp(a) -> np.ndarray:
     """Matrix exponential of an arbitrary square matrix, or of each matrix
     in a (K, n, n) stack, validated as by :func:`op_norms`; a stacked
     exponential equals the exponential of each row bit for bit."""
+    # Imported here, not at module level: loading scipy.linalg takes
+    # longer than a whole check, and only the exponential needs it.  expm
+    # is looked up on each call, so replacing scipy.linalg.expm reaches
+    # every caller.
+    import scipy.linalg
     m = np.asarray(a, dtype=complex)
     return scipy.linalg.expm(_checked(m, 3 if m.ndim == 3 else 2))
 
@@ -236,7 +240,13 @@ def direct_sum(mats) -> np.ndarray:
     blocks = [as_matrix(m) for m in mats]
     if not blocks:
         raise ValueError("direct_sum needs at least one matrix")
-    return scipy.linalg.block_diag(*blocks).astype(complex)
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def block2(x, y, z) -> np.ndarray:

@@ -270,7 +270,9 @@ class Assignment:
     """An immutable map from variable names to same-dimension matrices.
 
     Every matrix is square, finite and at least 1x1, checked once here;
-    :func:`evaluate` trusts an assignment it is given.
+    :func:`evaluate` trusts an assignment it is given.  Since nothing in
+    it changes, it keeps what is costly to derive: its largest operator
+    norm, and each fractional power that :func:`evaluate` takes.
     """
 
     def __init__(self, matrices: Mapping[str, object]):
@@ -293,6 +295,10 @@ class Assignment:
         self._store = store
         self.dim = dim
         self._max_norm: float | None = None
+        # Read-only fractional powers, keyed by (factor, policy): the
+        # policy decides the Hermitian check and the clamp.
+        self._powers: dict[tuple[Factor, matcalc.TolerancePolicy],
+                           np.ndarray] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -335,15 +341,23 @@ def evaluate(p: NcPolynomial, assignment,
     """
     a = (assignment if isinstance(assignment, Assignment)
          else Assignment(assignment))
-    # Each distinct factor is powered once per call, since a fractional
-    # one costs a spectral decomposition; nothing is kept across calls.
+    # Each distinct factor is powered once per call.  A fractional one
+    # costs a spectral decomposition, so it is taken once per assignment
+    # and policy; one that raises is not kept, and raises again.
     powers: dict[Factor, np.ndarray] = {}
     for factor in dict.fromkeys(f for mono in p.monomials for f in mono.word):
         name, star, exp = factor
+        fractional = exp.denominator != 1
+        if fractional and (factor, policy) in a._powers:
+            powers[factor] = a._powers[factor, policy]
+            continue
         base = matcalc.adjoint(a[name]) if star else a[name]
-        powers[factor] = (
-            np.linalg.matrix_power(base, int(exp)) if exp.denominator == 1
-            else matcalc.fractional_power(base, exp, policy))
+        if fractional:
+            power = matcalc.fractional_power(base, exp, policy)
+            power.setflags(write=False)
+            powers[factor] = a._powers[factor, policy] = power
+        else:
+            powers[factor] = np.linalg.matrix_power(base, int(exp))
     # acc starts at +0, which absorbs the sign of a zero in any product.
     acc = np.zeros((a.dim, a.dim), dtype=complex)
     for mono in p.monomials:

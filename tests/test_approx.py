@@ -301,8 +301,11 @@ def test_model_validation():
         model("hamster", 4)
     with pytest.raises(ValueError):
         model("diagonal", 4)  # diagonal needs a rule
-    with pytest.raises(ValueError):
-        model("unilateral_shift", 0)
+    # no float, bool or string is a dimension, though numpy takes some
+    for dim in (2.5, True, 0, "3"):
+        with pytest.raises(ValueError, match="model dimension"):
+            model("clock", dim)
+    assert np.array_equal(model("clock", np.int64(4)), model("clock", 4))
 
 
 def test_clock_shift_commutator_norm():

@@ -373,3 +373,32 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for word in ("check", "approx", "experiment", "reproduce"):
         assert word in text
+
+
+def test_check_never_loads_scipy_linalg(tmp_path):
+    # scipy.linalg takes longer to import than a whole check, and only
+    # the exponential experiments use it.  A fresh interpreter shows what
+    # one command loads.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import matrel
+
+    rel, mat = _torus_files(tmp_path, dim=4, bound=2.0)
+    script = (
+        "import sys\n"
+        "from matrel.cli import main\n"
+        "code = main(['check', sys.argv[1], sys.argv[2]])\n"
+        "print('#check', code, 'scipy.linalg' in sys.modules)\n"
+        "code = main(['experiment', 'expnorm', '--seed', '1', '--dim', '2',\n"
+        "             '--count', '3'])\n"
+        "print('#expnorm', code, 'scipy.linalg' in sys.modules)\n")
+    src = str(Path(matrel.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, rel, mat],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    tags = [line for line in proc.stdout.splitlines() if line[:1] == "#"]
+    assert tags == ["#check 0 False", "#expnorm 0 True"], proc.stdout

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matrel import approx, matcalc
 from matrel.approx import SHARP, CompressionSchedule, Cutoff, residual_curves
 from matrel.matcalc import TolerancePolicy, op_norm
+from matrel.ncpoly import evaluate
 from matrel.relations import (
     Assignment,
     Contraction,
@@ -122,3 +123,66 @@ def test_compression_keeps_order_positivity_and_bounds(case):
                 assert v.margin >= floors[rel], (label, v, floors[rel])
                 if step.rank < dim:
                     assert v.margin <= cap + slack, (label, v)
+
+
+@st.composite
+def homogeneous_bounds(draw):
+    """Relation text for one or two norm bounds on general x and y, each
+    polynomial homogeneous of degree 1 to 3.  The first is a sum of words
+    each minus its rotation by one letter, which vanishes on commuting
+    normal matrices: on the nearly commuting pairs below, a cut breaks
+    that cancellation and the rescale engages.  The second, if any, may
+    be any sum of words."""
+    letters = st.sampled_from(("x", "y", "x*", "y*"))
+    coeffs = st.sampled_from(("0.5", "2.0", "1i", "(0.3-0.7i)"))
+    lines = []
+    for cancelling in (True, False)[:draw(st.integers(1, 2))]:
+        degree = draw(st.integers(2 if cancelling else 1, 3))
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            word = draw(st.lists(letters, min_size=degree, max_size=degree))
+            sign, other = draw(st.sampled_from((("+", "-"), ("-", "+"))))
+            coeff = draw(coeffs)
+            terms.append(f" {sign} {coeff} {' '.join(word)}")
+            if cancelling:
+                turned = word[1:] + word[:1]
+                terms.append(f" {other} {coeff} {' '.join(turned)}")
+        poly = "".join(terms).removeprefix(" + ")
+        lines.append(f"rel norm({poly}) <= 100.0;\n")
+    return "var x;\nvar y;\n" + "".join(lines)
+
+
+def _nearly_commuting(rng, dim, eps):
+    """Two normal matrices diagonal in one random basis, each plus eps
+    times a Ginibre matrix."""
+    q, _ = np.linalg.qr(_complex(rng, dim))
+    return {name: q @ np.diag(_complex(rng, dim)[0]) @ q.conj().T
+            + eps * _complex(rng, dim) for name in ("x", "y")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_bounds(), st.integers(2, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from((1e-2, 1e-1, 1.0)), st.integers(0, 4), st.data())
+def test_quasicentral_never_raises_any_tracked_norm(text, dim, seed, eps,
+                                                    width, data):
+    """At every rank, 0 < alpha <= 1 and no tracked ||p(step)|| exceeds
+    ||p(a)||.  Where the rescale engages, alpha is the largest factor
+    that does this, so one tracked bound is met with equality; an alpha
+    without its 1/d root would undershoot that."""
+    ranks = sorted(data.draw(st.sets(st.integers(1, dim + 1), min_size=1,
+                                     max_size=6)))
+    _, rels = parse_relations(text)
+    assume(all(rel.poly.monomials for rel in rels))
+    a = Assignment(_nearly_commuting(np.random.default_rng(seed), dim, eps))
+    polys = [rel.poly for rel in approx._tracked_bounds(rels)]
+    originals = [op_norm(evaluate(p, a, POLICY)) for p in polys]
+    steps = approx.quasicentral_approximation(
+        a, rels, CompressionSchedule(tuple(ranks), Cutoff(width)), POLICY)
+    assert [step.rank for step in steps] == ranks
+    for step in steps:
+        assert 0.0 < step.alpha <= 1.0
+        ratios = [op_norm(evaluate(p, step.assignment, POLICY)) / orig
+                  for p, orig in zip(polys, originals)]
+        assert max(ratios) <= 1.0 + 1e-12, (step.rank, ratios)
+        if step.alpha < 1.0:
+            assert max(ratios) >= 1.0 - 1e-9, (step.rank, step.alpha, ratios)

@@ -14,11 +14,12 @@ the self-adjointness fallback while another's comes from its spectrum.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from matrel.matcalc import TolerancePolicy, op_norm
+from matrel.matcalc import TolerancePolicy, direct_sum, op_norm
 from matrel.relations import (
     Assignment,
     Range01,
@@ -115,3 +116,33 @@ def test_zero_padding_gives_one_margin_for_every_width(a):
         one, *more = (residual(rel, b, POLICY).margin for b in padded)
         for j, margin in enumerate(more, start=2):
             assert _close(margin, one), (describe(rel), j, margin, one)
+
+
+@st.composite
+def blocks(draw):
+    """One to four square blocks of size 1 to 4, each of integer, real
+    or complex dtype."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from((int, float, complex)))
+        if kind is int:
+            cells = st.integers(-10**6, 10**6)
+        else:
+            cells = st.floats(-1e6, 1e6, allow_subnormal=True)
+        flat = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+        block = np.array(flat, dtype=int if kind is int else float)
+        if kind is complex:
+            imag = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+            block = block + 1j * np.array(imag)
+        out.append(block.reshape(n, n))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks())
+def test_direct_sum_is_scipy_block_diag_bit_for_bit(parts):
+    got = direct_sum(parts)
+    want = scipy.linalg.block_diag(*parts).astype(complex)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -161,3 +161,20 @@ def test_tolerance_policy_scale_floor():
     assert pol.slack(op_norm(np.eye(2) * 0.25)) == (1e-9, 1e-6)
     eq, psd = pol.slack(max(op_norm(np.eye(2) * 3.0), op_norm(np.eye(2))))
     assert abs(eq / 1e-9 - 3.0) < 1e-14 and abs(psd / 1e-6 - 3.0) < 1e-14
+
+
+def test_matrix_exp_looks_up_scipy_expm_on_each_call(monkeypatch):
+    # The benchmark tracer counts exponentials by replacing this
+    # attribute, so matrix_exp must not hold its own reference to it.
+    import scipy.linalg
+    calls = []
+    real = scipy.linalg.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    matrix_exp(np.eye(2))
+    matrix_exp(np.zeros((3, 2, 2)))
+    assert calls == [(2, 2), (3, 2, 2)]

@@ -233,9 +233,64 @@ def test_evaluate_takes_each_fractional_factor_once_per_call(monkeypatch):
     out = evaluate(p, a)
     assert sorted(calls) == [Fraction(1, 2), Fraction(3, 2)]
     evaluate(p, a)
-    assert len(calls) == 4  # nothing is kept between calls
+    assert len(calls) == 4  # each plain dict is a new Assignment
     root = np.diag([2.0, 3.0])
     assert np.allclose(out, root @ a["y"] @ root + root + root ** 3)
+
+
+def _counted_powers(monkeypatch):
+    """Patch matcalc.fractional_power to record each call and each result
+    it returns."""
+    from matrel import matcalc
+
+    calls, results = [], []
+    power = matcalc.fractional_power
+
+    def counting(m, exp, policy):
+        calls.append(exp)
+        results.append(power(m, exp, policy))
+        return results[-1]
+
+    monkeypatch.setattr(matcalc, "fractional_power", counting)
+    return calls, results
+
+
+def test_assignment_takes_each_fractional_power_once(monkeypatch):
+    from matrel.matcalc import TolerancePolicy
+    from matrel.ncpoly import Assignment
+
+    calls, results = _counted_powers(monkeypatch)
+    mats = {"x": np.diag([4.0, 9.0]), "y": np.array([[0.0, 1.0], [1.0, 0.0]])}
+    a = Assignment(mats)
+    p = parse_poly("x^(1/2) y", POS)
+    q = parse_poly("y x^(1/2) + x^2", POS)
+    out_p, out_q = evaluate(p, a), evaluate(q, a)
+    assert len(calls) == 1
+    assert not results[0].flags.writeable
+    # the policy decides the Hermitian check and the clamp, so it is part
+    # of the key
+    evaluate(p, a, TolerancePolicy(tol_eq=1e-6, tol_psd=1e-6))
+    assert len(calls) == 2
+    assert not results[1].flags.writeable
+    assert evaluate(q, a).tobytes() == out_q.tobytes()
+    assert len(calls) == 2
+    fresh = Assignment(mats)
+    assert evaluate(p, fresh).tobytes() == out_p.tobytes()
+    assert evaluate(q, fresh).tobytes() == out_q.tobytes()
+    assert len(calls) == 3
+
+
+def test_a_fractional_power_that_raises_is_not_kept(monkeypatch):
+    from matrel.matcalc import NegativeSpectrumError
+    from matrel.ncpoly import Assignment
+
+    calls, results = _counted_powers(monkeypatch)
+    a = Assignment({"x": np.diag([4.0, -1.0])})
+    p = parse_poly("x^(1/2)", POS)
+    for n in (1, 2):
+        with pytest.raises(NegativeSpectrumError):
+            evaluate(p, a)
+        assert len(calls) == n and results == []
 
 
 def test_evaluate_star_uses_adjoint():
