@@ -21,8 +21,8 @@ difference on the probe, applied to the operators and their adjoints.
 
 A cut matrix is the direct sum a (+) 0_j of a leading block and a zero
 block, and every relation gives it the same verdict for all j >= 1 (see
-:func:`_corner_step`), so the residual curves keep one zero row and
-column of each cut.
+:func:`_cut`), so the residual curves keep one zero row and column of
+each cut.
 
 Model operators (shifts, diagonal and multiplication operators, clock
 and modular shift matrices) provide the structured assignments these
@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -49,17 +50,18 @@ from .ncpoly import Assignment, evaluate, homogeneity
 from .relations import NormBound, Relation, describe, residual
 
 
-def _index(value, what: str, low: int) -> int:
-    """``value`` as an ``int`` if it is an integer of at least ``low``, else
-    a ValueError naming ``what`` and the value.  ``int`` would truncate
-    1.5, and ``operator.index`` alone would take True for 1."""
+def _index(value, what: str, low: int | None) -> int:
+    """``value`` as an ``int`` if it is an integer of at least ``low`` (any
+    integer when ``low`` is None), else a ValueError naming ``what`` and
+    the value.  ``int`` would truncate 1.5, and ``operator.index`` alone
+    would take True for 1."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{what} must be at least {low}, got {value}")
     return value
 
@@ -70,6 +72,7 @@ class Cutoff:
 
     The weight of coordinate i at rank r is clip((r - i) / (width + 1),
     0, 1); width 0 is the sharp cutoff, an exact coordinate projection.
+    The width must fit in a float.
     """
 
     width: int = 0
@@ -77,6 +80,9 @@ class Cutoff:
     def __post_init__(self) -> None:
         object.__setattr__(self, "width",
                            _index(self.width, "a cutoff width", 0))
+        if self.width > sys.float_info.max:
+            raise ValueError("a cutoff width must be at most "
+                             f"{sys.float_info.max:g}")
 
     @classmethod
     def parse(cls, text: str) -> "Cutoff":
@@ -85,13 +91,18 @@ class Cutoff:
             return cls()
         if text.startswith("ramp:"):
             try:
-                if (width := _digits(text[5:])) >= 1:
-                    return cls(width)
+                width = _digits(text[5:])
             except ValueError:
-                pass
+                width = 0
+            if width >= 1:
+                return cls(width)
         raise ValueError(f"bad cutoff {text!r}; use sharp or ramp:WIDTH")
 
     def weights(self, dim: int, rank: int) -> np.ndarray:
+        """The weights of coordinates 0 to dim - 1.  Every weight is
+        already 1 at rank dim + width, so a larger rank is capped there
+        before it meets a float."""
+        rank = min(rank, dim + self.width)
         i = np.arange(dim, dtype=float)
         return np.clip((rank - i) / (self.width + 1), 0.0, 1.0)
 
@@ -140,56 +151,52 @@ class CompressionSchedule:
         return cls(ranks, Cutoff.parse(cutoff_text))
 
 
-def cutoff_step(a: Assignment, cutoff: Cutoff, rank: int
-                ) -> tuple[Assignment, dict[str, float]]:
-    """The one cutoff step of both procedures: every m becomes u m u, u
-    the cutoff diagonal at ``rank``, and each variable gets its
-    quasi-centrality defect ||u m - m u||.  Sharp makes u the rank
-    projection, so the cut is the zero-padded corner."""
-    corners, defects = _corner_step(a, cutoff, rank)
-    return _padded(corners, a.dim), defects
+def _cut(a: Assignment, cutoff: Cutoff, rank: int) -> Assignment:
+    """The one cutoff step of both procedures, on its leading corner:
+    every m becomes u m u, u the cutoff diagonal at ``rank``.  Both
+    profiles weigh coordinate i above 0 exactly when i < rank, so u m u
+    is a (+) 0_j, a its leading rank x rank block and j = dim - rank.
+    This returns the leading k x k block of each matrix, k = min(dim,
+    rank + 1).  One zero row and column stand for all j: every margin
+    reads a norm or an extreme eigenvalue of f(a (+) 0_j) = f(a) (+)
+    f(0) 1_j, where f is a polynomial without constant term (f(0) = 0),
+    u -> u* u - 1 (f(0) = -1) or exp of the real part (f(0) = 1), and the
+    slack reads the norms of a, so every verdict is the same for all
+    j >= 1."""
+    k = min(a.dim, rank + 1)
+    w = cutoff.weights(k, rank)
+    return Assignment({name: (w[:, None] * m[:k, :k]) * w[None, :]
+                       for name, m in a.items()})
 
 
-def _corner_step(a: Assignment, cutoff: Cutoff, rank: int
-                 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """:func:`cutoff_step` on its leading corner.  Both profiles weigh
-    coordinate i above 0 exactly when i < rank, so u m u is a (+) 0_j, a
-    its leading rank x rank block and j = dim - rank.  This returns the
-    leading k x k block of each matrix, k = min(dim, rank + 1), and the
-    defects of the full step.  One zero row and column stand for all j:
-    every margin reads a norm or an extreme eigenvalue of
-    f(a (+) 0_j) = f(a) (+) f(0) 1_j, where f is a polynomial without
-    constant term (f(0) = 0), u -> u* u - 1 (f(0) = -1) or exp of the
-    real part (f(0) = 1), and the slack reads the norms of a, so every
-    verdict is the same for all j >= 1.  The defect of a matrix that
-    commutes with u exactly, such as a diagonal one, is 0 without an
-    SVD."""
+def _defects(a: Assignment, cutoff: Cutoff, rank: int) -> dict[str, float]:
+    """The quasi-centrality defect ||u m - m u|| of every matrix, u the
+    cutoff diagonal at ``rank``, at full dimension.  The defect of a
+    matrix that commutes with u exactly, such as a diagonal one, is 0
+    without an SVD."""
     w = cutoff.weights(a.dim, rank)
-    k = min(a.dim, max(rank, 0) + 1)
-    wk = w[:k]
-    corners = {name: (wk[:, None] * m[:k, :k]) * wk[None, :]
-               for name, m in a.items()}
     defects = {}
     for name, m in a.items():
         gap = w[:, None] * m - m * w[None, :]
         defects[name] = matcalc.op_norm(gap) if gap.any() else 0.0
-    return corners, defects
+    return defects
 
 
-def _padded(mats, dim: int) -> Assignment:
+def _padded(a: Assignment, dim: int) -> Assignment:
     """The assignment of the matrices each followed by zero rows and
     columns up to ``dim``."""
     return Assignment({name: np.pad(m, (0, dim - len(m)))
-                       for name, m in mats.items()})
+                       for name, m in a.items()})
 
 
 def loewner_step(a: Assignment, rank: int) -> Assignment:
     """Compress every matrix by the sharp rank projection.
 
-    Ranks beyond the dimension act as the identity.  Order relations
-    survive this step: p (y - x) p is positive whenever y - x is.
+    Ranks beyond the dimension act as the identity, and rank 0 gives
+    zeros.  Order relations survive this step: p (y - x) p is positive
+    whenever y - x is.  No defect is measured.
     """
-    return cutoff_step(a, SHARP, rank)[0]
+    return _padded(_cut(a, SHARP, _index(rank, "a rank", 0)), a.dim)
 
 
 @dataclass(frozen=True)
@@ -199,8 +206,7 @@ class QuasicentralStep:
     ``defects`` maps variable names to ||u m - m u||, the quasi-centrality
     defect of the cutoff at this rank; ``bound_norms`` maps tracked
     relation labels to the polynomial norm after rescaling.
-    ``assignment`` is the full-dimension step, except inside
-    ``residual_curves``, which keeps only its leading corner.
+    ``assignment`` is the full-dimension step.
     """
 
     rank: int
@@ -248,18 +254,19 @@ def _steps(a: Assignment, bounds: Sequence[NormBound],
            schedule: CompressionSchedule,
            policy: TolerancePolicy) -> list[QuasicentralStep]:
     """One cutoff step per rank, rescaled so that no tracked bound's norm
-    grows; with no bounds to track, alpha stays 1.  Each step holds the
-    leading corner of :func:`_corner_step`.  A polynomial has no constant
-    term, so its norm on the corner is its norm on the full step."""
-    originals = [matcalc.op_norm(evaluate(b.poly, a, policy)) for b in bounds]
+    grows; with no bounds to track, alpha stays 1.  Unlike the steps of
+    :func:`quasicentral_approximation`, each holds only the corner that
+    :func:`_cut` returns.  A polynomial has no constant term, so its norm
+    on the corner is its norm on the full step."""
+    originals = [_tracked_norm(b, a, policy) for b in bounds]
     steps = []
     for rank in schedule.ranks:
-        corners, defects = _corner_step(a, schedule.cutoff, rank)
-        cut_a = Assignment(corners)
+        cut_a = _cut(a, schedule.cutoff, rank)
+        defects = _defects(a, schedule.cutoff, rank)
         alpha = 1.0
         cut_norms = []
         for b, orig in zip(bounds, originals):
-            norm_u = matcalc.op_norm(evaluate(b.poly, cut_a, policy))
+            norm_u = _tracked_norm(b, cut_a, policy)
             cut_norms.append(norm_u)
             if norm_u == 0.0:
                 continue
@@ -271,6 +278,19 @@ def _steps(a: Assignment, bounds: Sequence[NormBound],
             for b, n in zip(bounds, cut_norms)}
         steps.append(QuasicentralStep(rank, scaled, alpha, defects, bound_norms))
     return steps
+
+
+def _tracked_norm(b: NormBound, a: Assignment,
+                  policy: TolerancePolicy) -> float:
+    """||p(a)|| for a tracked bound.  An evaluation that overflows or
+    takes a fractional power of a matrix that is not positive leaves no
+    norm to rescale by, so it is a ValueError naming the bound."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return matcalc.op_norm(evaluate(b.poly, a, policy))
+    except (matcalc.NonFiniteError, matcalc.NotHermitianError,
+            matcalc.NegativeSpectrumError) as err:
+        raise ValueError(f"cannot track {describe(b)}: {err}") from None
 
 
 class StarStrongProbe:
@@ -298,7 +318,8 @@ class StarStrongProbe:
 
     @classmethod
     def coordinates(cls, dim: int, indices) -> "StarStrongProbe":
-        indices = list(indices)
+        dim = _index(dim, "a probe dimension", 1)
+        indices = [_index(i, "a coordinate index", None) for i in indices]
         for i in indices:
             if not 0 <= i < dim:
                 raise ValueError(f"coordinate index {i} is outside [0, {dim})")
@@ -309,7 +330,10 @@ class StarStrongProbe:
                support: int | None = None) -> "StarStrongProbe":
         """Random unit vectors, optionally supported on the first
         ``support`` coordinates."""
-        k = dim if support is None else support
+        dim = _index(dim, "a probe dimension", 1)
+        count = _index(count, "the count", 1)
+        seed = _index(seed, "the seed", 0)
+        k = dim if support is None else _index(support, "the support", None)
         if not 1 <= k <= dim:
             raise ValueError(f"support {k} is outside [1, {dim}]")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -416,7 +440,7 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
     Rows have keys rank, relation, residual, alpha, defect.
 
     Each residual is computed on the step's leading corner (see
-    :func:`_corner_step`) and agrees with the residual of the
+    :func:`_cut`) and agrees with the residual of the
     full-dimension step to rounding.
     """
     if not relations:

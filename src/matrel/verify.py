@@ -637,6 +637,7 @@ def run_experiment(name: str, seed: int, dim: int | None = None,
 def run_reproduction(commutator_budget: int = COMMUTATOR_BUDGET
                      ) -> list[ExperimentReport]:
     """Run the whole inequality suite with fixed default seeds."""
+    commutator_budget = _index(commutator_budget, "the budget", 1)
     plan = [("expnorm", None), *(("heinz", dim) for dim in (3, 4, 5, 6)),
             ("monotone-sqrt", None), ("monotone-square", None),
             *(("commutator", dim) for dim in (2, 3, 4, 5, 6)),

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from matrel import matcalc
 from matrel.matcalc import TolerancePolicy, op_norm
 from matrel.ncpoly import evaluate
 from matrel.relations import (
@@ -19,7 +20,6 @@ from matrel.approx import (
     Cutoff,
     StarStrongProbe,
     clock_shift_norm_gap,
-    cutoff_step,
     loewner_step,
     model,
     quasicentral_approximation,
@@ -41,6 +41,32 @@ def test_cutoff_weights_ramp():
     assert np.allclose(w, [1.0, 1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
     # width zero is the sharp projection again
     assert np.array_equal(Cutoff(1).weights(4, 2), [1.0, 0.5, 0.0, 0.0])
+
+
+def test_cutoff_weights_past_full_rank_are_the_uncapped_ones():
+    """Weights cap the rank at dim + width, where they are all 1 already;
+    below the cap they are the formula's, bit for bit."""
+    for width in range(9):
+        cutoff = Cutoff(width)
+        for dim in (1, 2, 5, 10):
+            i = np.arange(dim, dtype=float)
+            for rank in range(dim + width + 4):
+                want = np.clip((rank - i) / (width + 1), 0.0, 1.0)
+                assert np.array_equal(cutoff.weights(dim, rank), want)
+    # a rank no float holds gives the identity, not an OverflowError
+    assert np.array_equal(Cutoff(8).weights(256, 10 ** 400), np.ones(256))
+
+
+def test_a_cutoff_width_must_fit_in_a_float():
+    huge = "9" * 401
+    for bad in (int(huge), 10 ** 309):
+        with pytest.raises(ValueError, match="width must be at most"):
+            Cutoff(bad)
+    with pytest.raises(ValueError, match="width must be at most"):
+        Cutoff.parse("ramp:" + huge)
+    wide = Cutoff(10 ** 308)
+    assert wide.weights(3, 10 ** 400).tolist() == [1.0, 1.0, 1.0]
+    assert (wide.weights(3, 2) < 1e-300).all()
 
 
 def test_cutoff_parse_and_str():
@@ -102,6 +128,34 @@ def test_loewner_step_is_cornerwise():
     assert np.array_equal(loewner_step(a, 99)["x"], a["x"])
 
 
+def test_loewner_step_takes_no_svd(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = Assignment({"x": rng.standard_normal((6, 6))
+                    + 1j * rng.standard_normal((6, 6)),
+                    "y": rng.standard_normal((6, 6))})
+    calls = []
+    monkeypatch.setattr(matcalc, "op_norm",
+                        lambda m: calls.append(m.shape))
+    for rank in range(8):
+        loewner_step(a, rank)
+    assert calls == []
+
+
+def test_loewner_step_takes_only_integer_ranks():
+    a = Assignment({"x": np.ones((3, 3))})
+    # 2.5 would give weights 1, 1, 0.5, which is no projection
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="^a rank must be an integer"):
+            loewner_step(a, bad)
+    with pytest.raises(ValueError, match="^a rank must be at least 0, got -1$"):
+        loewner_step(a, -1)
+    assert np.array_equal(loewner_step(a, np.int64(3))["x"], a["x"])
+    assert np.array_equal(loewner_step(a, np.int64(2))["x"],
+                          loewner_step(a, 2)["x"])
+    zero = loewner_step(a, 0)["x"]
+    assert zero.shape == (3, 3) and not zero.any()
+
+
 def _corner_copy(a, rank):
     """The zero-padded corner, copied entry by entry."""
     r = min(rank, a.dim)
@@ -127,11 +181,10 @@ def test_sharp_step_is_the_zero_padded_corner():
                     + 1j * rng.standard_normal((dim, dim))
                     for name in ("x", "y")})
     for rank in (1, 4, 9, 10, 15):
-        cut, defects = cutoff_step(a, SHARP, rank)
+        cut = loewner_step(a, rank)
         corner = _corner_copy(a, rank)
         for name in a:
             assert np.array_equal(cut[name], corner[name])
-        assert set(defects) == {"x", "y"}
 
     _, rels = parse_relations(
         "var x;\nvar y;\nrel norm(x y - y x) <= 1.0;\nrel x* x <= y* y;\n"
@@ -216,6 +269,40 @@ def test_star_strong_probe_rejects_out_of_range_inputs():
             StarStrongProbe.random(4, 2, 0, support=bad)
     assert len(StarStrongProbe.coordinates(4, [0, 3]).vectors) == 2
     assert StarStrongProbe.random(4, 2, 0, support=4).dim == 4
+
+
+def test_star_strong_probe_sizes_and_indices_are_integers():
+    for call, what, bad in (
+            (lambda: StarStrongProbe.coordinates(4, [1.5]),
+             "a coordinate index", "1.5"),
+            (lambda: StarStrongProbe.coordinates(4, [0, True]),
+             "a coordinate index", "True"),
+            (lambda: StarStrongProbe.coordinates(2.5, [0]),
+             "a probe dimension", "2.5"),
+            (lambda: StarStrongProbe.random(2.5, 2, 0),
+             "a probe dimension", "2.5"),
+            (lambda: StarStrongProbe.random(4, 2.5, 0), "the count", "2.5"),
+            (lambda: StarStrongProbe.random(4, 2, 0.0), "the seed", "0.0"),
+            (lambda: StarStrongProbe.random(4, 2, 0, support=2.5),
+             "the support", "2.5"),
+            (lambda: StarStrongProbe.random(4, 2, 0, support=True),
+             "the support", "True")):
+        with pytest.raises(ValueError,
+                           match=f"^{what} must be an integer, got {bad}$"):
+            call()
+    for call, what, bad in (
+            (lambda: StarStrongProbe.random(4, 2, -1), "the seed", "0, got -1"),
+            (lambda: StarStrongProbe.random(4, 0, 1), "the count", "1, got 0"),
+            (lambda: StarStrongProbe.coordinates(0, []),
+             "a probe dimension", "1, got 0")):
+        with pytest.raises(ValueError, match=f"^{what} must be at least {bad}$"):
+            call()
+    same = StarStrongProbe.random(np.int64(6), np.int64(2), np.int64(3),
+                                  support=np.int64(4))
+    for u, v in zip(same.vectors,
+                    StarStrongProbe.random(6, 2, 3, support=4).vectors):
+        assert np.array_equal(u, v)
+    assert StarStrongProbe.coordinates(3, [np.int64(2)]).vectors[0][2] == 1.0
 
 
 def test_star_strong_probe_constructors():

@@ -276,6 +276,54 @@ def test_fractional_power_of_a_bad_matrix_fails_check_and_experiment(
     captured = capsys.readouterr()
     assert captured.err == "" and "FAIL positivity" in captured.out
 
+@pytest.mark.parametrize("text, mats, reason", [
+    ("var y;\nrel norm(y y) <= 1;\n",
+     {"y": np.array([[1e200, 1e200], [0.0, 1e200]])},
+     "norm(y^2) <= 1.0: matrix has non-finite entries"),
+    ("var x hermitian;\nrel norm(x^(1/2)) <= 1;\n",
+     {"x": np.diag([-1.0, 1.0])},
+     "norm(x^(1/2)) <= 1.0: fractional power of a matrix with eigenvalue "
+     "-1.000e+00"),
+], ids=["overflow", "negative-root"])
+def test_a_tracked_bound_that_cannot_be_measured_exits_two(
+        tmp_path, capsys, text, mats, reason):
+    rel = _write(tmp_path, "bound.rel", text)
+    mat = _mat_file(tmp_path, "bound.mat", mats)
+    argv = ["approx", rel, mat, "--schedule", "1,2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--procedure", "quasicentral",
+                            "--cutoff", "ramp:1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot track {reason}")
+        assert err.count("\n") == 1
+        # check and loewner measure no tracked norm: a failing verdict,
+        # and residual rows of inf
+        assert main(["check", rel, mat]) == 1
+        assert main(argv + ["--procedure", "loewner"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "final rank 2: worst residual inf" in out
+
+
+def test_approx_takes_a_rank_or_width_no_float_holds(tmp_path, capsys):
+    # ||uv - vu|| = 2 sin(pi/8) is within the bound, so full rank holds
+    rel, mat = _torus_files(tmp_path, dim=8, bound=1.0)
+    huge = "9" * 401
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for procedure, cutoff in (("loewner", "sharp"),
+                                  ("quasicentral", "ramp:4")):
+            assert main(["approx", rel, mat, "--procedure", procedure,
+                         "--cutoff", cutoff, "--schedule", f"4,{huge}"]) == 0
+            out = capsys.readouterr().out
+            # the rank is printed as given, and the cut is the identity
+            assert f"final rank {huge}: worst residual 0.000000e+00" in out
+        assert main(["approx", rel, mat, "--procedure", "quasicentral",
+                     "--cutoff", f"ramp:{huge}", "--schedule", "4,8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a cutoff width must be at most")
+
+
 def test_approx_table_and_csv(tmp_path, capsys):
     rel, mat = _torus_files(tmp_path)
     out = tmp_path / "curves.csv"

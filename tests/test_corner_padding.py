@@ -3,9 +3,10 @@
 ``residual_curves`` checks each cut step on its leading k x k block, k =
 min(dim, rank + 1): below full rank the block keeps one of the cut's
 zero rows and columns, which stands for all dim - rank of them.  The
-oracle here is the explicit zero-padded assignment that ``cutoff_step``
-returns: for every relation kind, both give the same verdict, and
-residuals and margins agree to rounding.
+oracle here is the full-dimension cut u m u, built from the cutoff's
+weights alone, so it shares no code with the corner it checks: for
+every relation kind, both give the same verdict, and residuals and
+margins agree to rounding.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from matrel.approx import (
     SHARP,
     CompressionSchedule,
     Cutoff,
-    cutoff_step,
     quasicentral_approximation,
     residual_curves,
 )
@@ -98,6 +98,20 @@ def _close(got, want):
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _full_cut(a, cutoff, rank):
+    """u m u for every m at full dimension, u the cutoff diagonal."""
+    w = cutoff.weights(a.dim, rank)
+    return Assignment({name: (w[:, None] * m) * w[None, :]
+                       for name, m in a.items()})
+
+
+def _full_defects(a, cutoff, rank):
+    """||u m - m u|| for every m, each by its own SVD."""
+    w = cutoff.weights(a.dim, rank)
+    return {name: op_norm(w[:, None] * m - m * w[None, :])
+            for name, m in a.items()}
+
+
 def _corner(cut, k):
     return Assignment({name: m[:k, :k] for name, m in cut.items()})
 
@@ -117,8 +131,8 @@ def test_oracle_covers_every_relation_kind():
 def test_corner_residual_matches_the_zero_padded_assignment(seed, cutoff,
                                                             rank):
     a = _oracle_assignment(seed)
-    cut, _ = cutoff_step(a, cutoff, rank)
-    corner = Assignment(approx._corner_step(a, cutoff, rank)[0])
+    cut = _full_cut(a, cutoff, rank)
+    corner = approx._cut(a, cutoff, rank)
     assert corner.dim == min(DIM, rank + 1)
     for rel in _oracle_relations():
         want = residual(rel, cut, POLICY)
@@ -135,7 +149,7 @@ def test_the_zero_row_bites_on_the_oracle_inputs():
     already keeps all of DIM, so the cut here is at DIM - 2."""
     a = _oracle_assignment(0)
     rank = DIM - 2
-    cut, _ = cutoff_step(a, SHARP, rank)
+    cut = _full_cut(a, SHARP, rank)
     rels = (Unitary("q"), Positive("p"), Range01("p"),
             RealPartBound("n", 0.5), ExpRealNormBound("n", 1.5))
     for rel in rels:
@@ -154,9 +168,9 @@ def test_residual_curves_match_the_full_dimension_steps(procedure, cutoff):
     schedule = CompressionSchedule((1, 4, DIM - 1, DIM, DIM + 5), cutoff)
     rows = residual_curves(a, rels, schedule, procedure, POLICY)
     if procedure == "loewner":
-        steps = [(rank, *cutoff_step(a, cutoff, rank))
+        steps = [(rank, _full_cut(a, cutoff, rank), 1.0,
+                  _full_defects(a, cutoff, rank))
                  for rank in schedule.ranks]
-        steps = [(rank, full, 1.0, defects) for rank, full, defects in steps]
     else:
         steps = [(s.rank, s.assignment, s.alpha, s.defects)
                  for s in quasicentral_approximation(a, rels, schedule,
@@ -187,7 +201,7 @@ def test_a_defect_that_vanishes_exactly_takes_no_svd(monkeypatch):
     for cutoff in (SHARP, Cutoff(2)):
         for rank in (1, 3, 6, 9):
             calls.clear()
-            _, defects = cutoff_step(a, cutoff, rank)
+            defects = approx._defects(a, cutoff, rank)
             w = cutoff.weights(6, rank)
             assert defects["d"] == 0.0
             assert defects["m"] == real_op_norm(

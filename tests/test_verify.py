@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from matrel import matcalc
+from matrel import matcalc, verify
 from matrel.matcalc import min_eigenvalue, op_norm
 from matrel.relations import check_all, parse_relations
 from matrel.verify import (
@@ -345,6 +345,20 @@ def test_report_json_and_file_output(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[1])["passed"] is False
 
+
+
+def test_reproduction_checks_its_budget_before_the_first_report(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "run_experiment",
+                        lambda *args, **kwargs: calls.append(args))
+    for bad, message in ((0, "at least 1, got 0"), (2.5, "an integer"),
+                         (True, "an integer")):
+        with pytest.raises(ValueError, match=f"^the budget must be {message}"):
+            run_reproduction(commutator_budget=bad)
+    assert calls == []
+    run_reproduction(commutator_budget=np.int64(3))
+    assert len(calls) == 13
 
 
 def test_reproduction_suite_plan():
