@@ -46,7 +46,7 @@ import numpy as np
 
 from . import matcalc
 from .matcalc import DEFAULT_POLICY, TolerancePolicy
-from .ncpoly import Assignment, evaluate, homogeneity
+from .ncpoly import Assignment, homogeneity
 from .relations import NormBound, Relation, describe, residual
 
 
@@ -287,7 +287,7 @@ def _tracked_norm(b: NormBound, a: Assignment,
     norm to rescale by, so it is a ValueError naming the bound."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return matcalc.op_norm(evaluate(b.poly, a, policy))
+            return a.poly_norm(b.poly, policy)
     except (matcalc.NonFiniteError, matcalc.NotHermitianError,
             matcalc.NegativeSpectrumError) as err:
         raise ValueError(f"cannot track {describe(b)}: {err}") from None

@@ -91,6 +91,25 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+# Relative room left between a computed bound and a computed operator
+# norm before the bound is trusted to settle a comparison.  LAPACK's
+# largest singular value and the computed bound are each within about
+# n^2 eps of exact, below 1e-10 at n = 512, so 1e-6 absorbs both
+# roundings at every size this program meets.
+BOUND_MARGIN = 1e-6
+
+
+def op_norm_bound(m: np.ndarray) -> float:
+    """An upper bound of :func:`op_norm` at a fraction of its cost:
+    sqrt(||m||_1 ||m||_inf), the largest absolute column and row sums
+    (Golub and Van Loan, Matrix Computations, 2.3).  The two roots are
+    taken apart, so the product neither overflows nor underflows; a
+    caller compares it with :data:`BOUND_MARGIN` to spare."""
+    a = np.abs(m)
+    return (float(np.sqrt(a.sum(axis=0).max(initial=0.0)))
+            * float(np.sqrt(a.sum(axis=1).max(initial=0.0))))
+
+
 def op_norms(stack) -> np.ndarray:
     """Operator norms of a (K, n, n) stack, one LAPACK call for all K, each
     bitwise equal to :func:`op_norm` of its row; validated likewise."""
@@ -134,6 +153,20 @@ def hermitian_defect_bound(m: np.ndarray) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.abs(m - adjoint(m)).sum(axis=-1).max(initial=0.0))
+
+
+def unitary_defect(m: np.ndarray) -> float:
+    """||m*m - 1|| of a square m: for m = W S V*, both m*m - 1 = V (S^2 - 1)
+    V* and mm* - 1 = W (S^2 - 1) W* have norm max |s_i^2 - 1|.
+
+    A zero column puts -1 on the diagonal of m*m - 1, and every s_i^2 - 1
+    lies in [-1, ||m||^2 - 1].  So when :func:`op_norm_bound` puts
+    ||m||^2 at most 2, the defect is exactly 1, with no product and no
+    SVD.  That covers every cut corner of a contraction."""
+    if (not m.any(axis=0).all()
+            and op_norm_bound(m) ** 2 * (1.0 + BOUND_MARGIN) <= 2.0):
+        return 1.0
+    return op_norm(adjoint(m) @ m - np.eye(len(m)))
 
 
 def _require_hermitian(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
@@ -206,15 +239,18 @@ def max_eigenvalue(a, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     return float(eigenvalues(a, policy)[-1])
 
 
-def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY
-                     ) -> np.ndarray:
+def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY,
+                     decomposition=None) -> np.ndarray:
     """Matrix power with a rational or real exponent.
 
     Integer exponents use repeated multiplication and work for any square
     matrix.  Non-integer exponents require a Hermitian matrix whose
     spectrum is nonnegative within ``tol_psd``; eigenvalues in the
     tolerance band below zero are clamped to zero before the power is
-    taken.  Exponent 0 gives the identity.
+    taken.  Exponent 0 gives the identity.  ``decomposition``, when
+    given, is called with no arguments once the Hermitian check passes,
+    and returns what :func:`spectrum` of ``a`` would, so that a caller
+    that keeps that spectrum lends it instead of paying for a new one.
     """
     m = as_matrix(a)
     t = Fraction(exponent).limit_denominator(10**12) if not isinstance(
@@ -224,7 +260,8 @@ def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY
         if n < 0:
             raise ValueError("negative powers are not supported")
         return np.linalg.matrix_power(m, n)
-    w, v = spectrum(_require_hermitian(m, policy))
+    _require_hermitian(m, policy)
+    w, v = decomposition() if decomposition is not None else spectrum(m)
     # The floor is negative, so only a negative eigenvalue can be below it.
     if w[0] < 0:
         floor = -policy.slack(op_norm(_hermitian_part(m)))[1]

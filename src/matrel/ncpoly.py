@@ -271,8 +271,13 @@ class Assignment:
 
     Every matrix is square, finite and at least 1x1, checked once here;
     :func:`evaluate` trusts an assignment it is given.  Since nothing in
-    it changes, it keeps what is costly to derive: its largest operator
-    norm, and each fractional power that :func:`evaluate` takes.
+    it changes, it keeps what is costly to derive, each the first time it
+    is asked for: each variable's operator norm, the slack scale
+    max(1, largest norm), the norm of each polynomial it evaluates, each
+    variable's Hermitian-part spectrum and each fractional power.  A
+    kept result is the same call on the same bits as a fresh one, and
+    the scale skips only norms that a bound shows cannot reach it, so
+    reading the memo never changes a value.
     """
 
     def __init__(self, matrices: Mapping[str, object]):
@@ -294,9 +299,13 @@ class Assignment:
             raise PolyError("an assignment needs at least one variable")
         self._store = store
         self.dim = dim
-        self._max_norm: float | None = None
-        # Read-only fractional powers, keyed by (factor, policy): the
-        # policy decides the Hermitian check and the clamp.
+        self._norms: dict[str, float] = {}
+        self._scale: float | None = None
+        # Norms and fractional powers are keyed by policy too: it decides
+        # the Hermitian check and the clamp of every fractional power.
+        self._poly_norms: dict[tuple[NcPolynomial, matcalc.TolerancePolicy],
+                               float] = {}
+        self._spectra: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._powers: dict[tuple[Factor, matcalc.TolerancePolicy],
                            np.ndarray] = {}
 
@@ -318,10 +327,50 @@ class Assignment:
     def items(self):
         return self._store.items()
 
+    def op_norm(self, name: str) -> float:
+        """The operator norm of ``name``'s matrix."""
+        if name not in self._norms:
+            self._norms[name] = matcalc.op_norm(self[name])
+        return self._norms[name]
+
     def max_norm(self) -> float:
-        if self._max_norm is None:
-            self._max_norm = max(matcalc.op_norm(m) for m in self._store.values())
-        return self._max_norm
+        return max(self.op_norm(name) for name in self._store)
+
+    def scale(self) -> float:
+        """max(1, :meth:`max_norm`), bit for bit: the one norm that
+        :meth:`~matrel.matcalc.TolerancePolicy.slack` is given.  Variables
+        are visited by decreasing :func:`~matrel.matcalc.op_norm_bound`,
+        and once a bound, with its margin, is below the running value, no
+        norm left can raise it, so none is taken."""
+        if self._scale is None:
+            scale = 1.0
+            bounds = sorted(((matcalc.op_norm_bound(m), name)
+                             for name, m in self._store.items()), reverse=True)
+            for bound, name in bounds:
+                if bound * (1.0 + matcalc.BOUND_MARGIN) < scale:
+                    break
+                scale = max(scale, self.op_norm(name))
+            self._scale = scale
+        return self._scale
+
+    def poly_norm(self, p: NcPolynomial,
+                  policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
+                  ) -> float:
+        """||p(a)||; an evaluation that raises is not kept, and raises
+        again."""
+        key = (p, policy)
+        if key not in self._poly_norms:
+            self._poly_norms[key] = matcalc.op_norm(evaluate(p, self, policy))
+        return self._poly_norms[key]
+
+    def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~matrel.matcalc.spectrum` of ``name``'s matrix, read-only."""
+        if name not in self._spectra:
+            w, v = matcalc.spectrum(self[name])
+            w.setflags(write=False)
+            v.setflags(write=False)
+            self._spectra[name] = w, v
+        return self._spectra[name]
 
     def __repr__(self) -> str:
         return f"Assignment(dim={self.dim}, vars={list(self._store)})"
@@ -353,7 +402,10 @@ def evaluate(p: NcPolynomial, assignment,
             continue
         base = matcalc.adjoint(a[name]) if star else a[name]
         if fractional:
-            power = matcalc.fractional_power(base, exp, policy)
+            # A fractional factor is self-adjoint and so never starred:
+            # its spectrum is the variable's.
+            power = matcalc.fractional_power(
+                base, exp, policy, functools.partial(a.spectrum, name))
             power.setflags(write=False)
             powers[factor] = a._powers[factor, policy] = power
         else:

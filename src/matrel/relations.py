@@ -227,7 +227,7 @@ def residual(rel: Relation, a: Assignment,
 
 def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
               ) -> Verdict:
-    eq_slack, psd_slack = policy.slack(a.max_norm())
+    eq_slack, psd_slack = policy.slack(a.scale())
 
     def eig_margin(m: np.ndarray, what: str, low_of=lambda w: w[0]
                    ) -> tuple[float, str]:
@@ -245,14 +245,14 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
 
     match rel:
         case PolyZero(poly=p):
-            norm = matcalc.op_norm(evaluate(p, a, policy))
+            norm = a.poly_norm(p, policy)
             margin = eq_slack - norm
             detail = f"||p(a)|| = {norm:.6e}"
         case PolyPositive(poly=p):
             margin, detail = eig_margin(evaluate(p, a, policy),
                                         "min eigenvalue")
         case NormBound(poly=p, bound=c, strict=strict):
-            norm = matcalc.op_norm(evaluate(p, a, policy))
+            norm = a.poly_norm(p, policy)
             margin = c - norm if strict else c + eq_slack - norm
             detail = f"||p(a)|| = {norm:.6e} vs bound {c:g}"
             satisfied = margin > 0 if strict else margin >= 0
@@ -270,14 +270,11 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             margin, detail = eig_margin(a[v], "distance into [0, 1]:",
                                         lambda w: min(w[0], 1.0 - w[-1]))
         case Unitary(var=v):
-            # For square u = W S V*, u*u - 1 = V (S^2 - 1) V* and
-            # uu* - 1 = W (S^2 - 1) W*: both norms are max |s_i^2 - 1|.
-            m0 = a[v]
-            defect = matcalc.op_norm(matcalc.adjoint(m0) @ m0 - np.eye(a.dim))
+            defect = matcalc.unitary_defect(a[v])
             margin = eq_slack - defect
             detail = f"unitarity defect {defect:.6e}"
         case Contraction(var=v):
-            norm = matcalc.op_norm(a[v])
+            norm = a.op_norm(v)
             margin = 1.0 + eq_slack - norm
             detail = f"||m|| = {norm:.6e}"
         case BlockPositive(x=px, y=py, z=pz):
@@ -290,7 +287,7 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             margin = beta - high + psd_slack
             detail = f"max eigenvalue of real part {high:.6e} vs {beta:g}"
         case ExpRealNormBound(var=v, bound=beta):
-            w, vecs = matcalc.spectrum(a[v])
+            w, vecs = a.spectrum(v)
             norm = matcalc.op_norm(matcalc.from_spectrum(vecs, np.exp(w)))
             margin = beta + eq_slack - norm
             detail = f"||exp(re m)|| = {norm:.6e} vs {beta:g}"
@@ -339,7 +336,7 @@ def essential_dim(a: Assignment, policy: TolerancePolicy = DEFAULT_POLICY
         np.concatenate([a[name], matcalc.adjoint(a[name])], axis=1)
         for name in a.names()])
     sing = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sing > policy.slack(a.max_norm())[0]))
+    return int(np.sum(sing > policy.slack(a.scale())[0]))
 
 
 # ---------------------------------------------------------------------------

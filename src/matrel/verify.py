@@ -542,7 +542,7 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     def violation(dim: int, i: int) -> float:
         a = Assignment({name: _SAMPLERS[var.kind](stream(seed, i, role), dim)
                         for role, (name, var) in enumerate(variables.items())})
-        return check_all(rels, a, policy).residual / max(1.0, a.max_norm())
+        return check_all(rels, a, policy).residual / a.scale()
 
     cells = [(dim, i) for dim in dims for i in range(count)]
     worst, k = _worst(violation(dim, i) for dim, i in cells)

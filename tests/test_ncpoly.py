@@ -227,7 +227,8 @@ def test_evaluate_takes_each_fractional_factor_once_per_call(monkeypatch):
     power = matcalc.fractional_power
     monkeypatch.setattr(
         matcalc, "fractional_power",
-        lambda m, exp, policy: calls.append(exp) or power(m, exp, policy))
+        lambda m, exp, policy, decomposition:
+        calls.append(exp) or power(m, exp, policy, decomposition))
     p = parse_poly("x^(1/2) y x^(1/2) + x^(1/2) + x^(3/2)", POS)
     a = {"x": np.diag([4.0, 9.0]), "y": np.array([[0.0, 1.0], [1.0, 0.0]])}
     out = evaluate(p, a)
@@ -246,9 +247,9 @@ def _counted_powers(monkeypatch):
     calls, results = [], []
     power = matcalc.fractional_power
 
-    def counting(m, exp, policy):
+    def counting(m, exp, policy, decomposition):
         calls.append(exp)
-        results.append(power(m, exp, policy))
+        results.append(power(m, exp, policy, decomposition))
         return results[-1]
 
     monkeypatch.setattr(matcalc, "fractional_power", counting)
