@@ -66,7 +66,6 @@ from .relations import (
     Verdict,
     check_all,
     describe,
-    essential_dim,
     format_assignment,
     format_relations,
     parse_assignment,

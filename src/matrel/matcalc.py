@@ -7,9 +7,12 @@ calculus must be Hermitian up to the active tolerance.
 
 Tolerances are relative: a ``TolerancePolicy`` carries an equality
 tolerance and a positivity tolerance, and :meth:`TolerancePolicy.slack`
-is the one place that scales them, by ``max(1, norm)`` of the inputs
-being compared.  That keeps verdicts meaningful both for tiny and for
-badly scaled matrices.
+is the one place that scales them, by tol * max(1, norm).  A relation
+is checked at the largest operator norm in its assignment, a spectral
+operation here at the norm of its own input.  Below norm 1 the slack is
+an absolute tol, and one large variable widens the slack of every
+relation; tests/test_scale_covariance.py pins the verdicts this gets
+wrong.
 """
 
 from __future__ import annotations
@@ -147,12 +150,22 @@ def hermitian_defect_bound(m: np.ndarray) -> float:
     That difference is skew-Hermitian, so its largest row and column sums
     agree and bound its operator norm.  Unlike a Frobenius norm, the bound
     squares nothing, so it cannot underflow to 0 below a nonzero defect.
-    A caller that finds it at most half of a slack knows the defect is
-    within that slack, with room for the rounding of both computations,
-    and skips the SVD.  It is inf or NaN when m - m* overflows.
+    It is inf or NaN when m - m* overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.abs(m - adjoint(m)).sum(axis=-1).max(initial=0.0))
+
+
+def hermitian_excess(m: np.ndarray, slack: float) -> float:
+    """:func:`hermitian_defect` of ``m`` when it exceeds ``slack``, else 0.
+
+    A bound at most half the slack leaves room for the rounding of both
+    computations, so it settles the comparison without the SVD.  A NaN
+    bound (m - m* overflowed) settles nothing, and the SVD raises."""
+    if hermitian_defect_bound(m) <= slack / 2:
+        return 0.0
+    defect = hermitian_defect(m)
+    return defect if defect > slack else 0.0
 
 
 def unitary_defect(m: np.ndarray) -> float:
@@ -170,11 +183,10 @@ def unitary_defect(m: np.ndarray) -> float:
 
 
 def _require_hermitian(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    # The equality slack is at least tol_eq, whatever the norm.
-    if hermitian_defect_bound(m) <= policy.tol_eq / 2:
-        return m
-    defect = hermitian_defect(m)
-    if defect > policy.slack(op_norm(m))[0]:
+    # The equality slack is at least tol_eq, whatever the norm, so only a
+    # defect beyond tol_eq needs the norm.
+    defect = hermitian_excess(m, policy.tol_eq)
+    if defect and defect > policy.slack(op_norm(m))[0]:
         raise NotHermitianError(
             f"matrix is not Hermitian: ||a - a*|| = {defect:.3e}")
     return m

@@ -188,16 +188,19 @@ class Verdict:
     """Outcome of checking one relation (or a whole set).
 
     ``margin`` is positive when the relation holds with room to spare and
-    negative when it fails; ``residual = max(0, -margin)``.  For a set,
-    ``margin`` is the minimum over members and ``parts`` holds the
-    member verdicts in order.
+    negative when it fails.  For a set, ``margin`` is the minimum over
+    members and ``parts`` holds the member verdicts in order.
     """
 
     satisfied: bool
     margin: float
-    residual: float
     detail: str = ""
     parts: tuple["Verdict", ...] = ()
+
+    @property
+    def residual(self) -> float:
+        """How badly the relation fails: max(0, -margin)."""
+        return max(0.0, -self.margin)
 
 
 def residual(rel: Relation, a: Assignment,
@@ -219,27 +222,25 @@ def residual(rel: Relation, a: Assignment,
         with np.errstate(over="ignore", invalid="ignore"):
             return _residual(rel, a, policy)
     except matcalc.NonFiniteError:
-        return Verdict(False, -math.inf, math.inf,
+        return Verdict(False, -math.inf,
                        "evaluation overflowed to non-finite entries")
     except (matcalc.NotHermitianError, matcalc.NegativeSpectrumError) as err:
-        return Verdict(False, -math.inf, math.inf, str(err))
+        return Verdict(False, -math.inf, str(err))
 
 
 def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
               ) -> Verdict:
     eq_slack, psd_slack = policy.slack(a.scale())
+    strict = False  # the NormBound arm binds its own
 
     def eig_margin(m: np.ndarray, what: str, low_of=lambda w: w[0]
                    ) -> tuple[float, str]:
         """Margin and detail of ``low_of(spectrum) >= 0``.  A matrix that
-        is not self-adjoint fails by its defect beyond the equality slack;
-        the SVD that measures it is skipped when its bound is in slack.
-        A NaN bound (m overflowed) is not, and the SVD path raises."""
-        if not matcalc.hermitian_defect_bound(m) <= eq_slack / 2:
-            defect = matcalc.hermitian_defect(m)
-            if defect > eq_slack:
-                return (eq_slack - defect,
-                        f"not self-adjoint, defect {defect:.3e}")
+        is not self-adjoint fails by its defect beyond the equality
+        slack."""
+        defect = matcalc.hermitian_excess(m, eq_slack)
+        if defect:
+            return eq_slack - defect, f"not self-adjoint, defect {defect:.3e}"
         low = float(low_of(matcalc.spectrum_values(m)))
         return low + psd_slack, f"{what} {low:.6e}"
 
@@ -255,8 +256,6 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             norm = a.poly_norm(p, policy)
             margin = c - norm if strict else c + eq_slack - norm
             detail = f"||p(a)|| = {norm:.6e} vs bound {c:g}"
-            satisfied = margin > 0 if strict else margin >= 0
-            return Verdict(satisfied, margin, max(0.0, -margin), detail)
         case OperatorOrder(lesser=p, greater=q):
             margin, detail = eig_margin(evaluate(q - p, a, policy),
                                         "min eigenvalue of gap")
@@ -293,7 +292,7 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
             detail = f"||exp(re m)|| = {norm:.6e} vs {beta:g}"
         case _:
             raise TypeError(f"unknown relation {rel!r}")
-    return Verdict(margin >= 0, margin, max(0.0, -margin), detail)
+    return Verdict(margin > 0 if strict else margin >= 0, margin, detail)
 
 
 def check_all(relations: Sequence[Relation], a: Assignment,
@@ -301,11 +300,9 @@ def check_all(relations: Sequence[Relation], a: Assignment,
     """Check every relation; the aggregate margin is the worst one."""
     parts = tuple(residual(rel, a, policy) for rel in relations)
     if not parts:
-        return Verdict(True, float("inf"), 0.0, "no relations")
-    margin = min(v.margin for v in parts)
-    satisfied = all(v.satisfied for v in parts)
+        return Verdict(True, float("inf"), "no relations")
     good = sum(v.satisfied for v in parts)
-    return Verdict(satisfied, margin, max(v.residual for v in parts),
+    return Verdict(good == len(parts), min(v.margin for v in parts),
                    f"{good} of {len(parts)} relations satisfied", parts)
 
 
@@ -321,22 +318,6 @@ def product_rep(assignments: Sequence[Assignment]) -> Assignment:
     return Assignment({
         name: matcalc.direct_sum([a[name] for a in assignments])
         for name in order})
-
-
-def essential_dim(a: Assignment, policy: TolerancePolicy = DEFAULT_POLICY
-                  ) -> int:
-    """Dimension of the joint essential subspace of the assignment.
-
-    This is the rank of the stacked columns of every matrix and its
-    adjoint: the smallest coordinate subspace supporting all of them and
-    their adjoints.  Singular values at or below the equality slack at
-    the assignment's largest norm do not count.
-    """
-    stacked = np.hstack([
-        np.concatenate([a[name], matcalc.adjoint(a[name])], axis=1)
-        for name in a.names()])
-    sing = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sing > policy.slack(a.scale())[0]))
 
 
 # ---------------------------------------------------------------------------

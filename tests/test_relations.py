@@ -21,7 +21,6 @@ from matrel.relations import (
     Unitary,
     check_all,
     describe,
-    essential_dim,
     format_assignment,
     format_relations,
     parse_assignment,
@@ -291,6 +290,7 @@ def test_overflowing_evaluation_is_a_failing_verdict():
         verdict = check_all(rels, a, POLICY)
     assert not verdict.satisfied
     assert verdict.margin == -np.inf and verdict.residual == np.inf
+    assert verdict.residual == max(p.residual for p in verdict.parts)
     assert [p.satisfied for p in verdict.parts] == [True, False, False, False, True]
     for part in verdict.parts[1:4]:
         assert part.margin == -np.inf and part.residual == np.inf
@@ -374,16 +374,6 @@ def test_product_rep_dims_add():
         product_rep([a, Assignment({"y": np.eye(2)})])
     with pytest.raises(ValueError):
         product_rep([])
-
-
-def test_essential_dim():
-    assert essential_dim(Assignment({"x": np.diag([1.0, 0.0])})) == 1
-    assert essential_dim(Assignment({"x": np.zeros((4, 4))})) == 0
-    assert essential_dim(Assignment({"x": np.diag([1.0, 1.0, 0.0]),
-                                     "y": np.diag([0.0, 2.0, 0.0])})) == 2
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((6, 6))
-    assert essential_dim(Assignment({"x": g})) == 6
 
 
 def test_assignment_validation():

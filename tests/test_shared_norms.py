@@ -7,7 +7,8 @@ below 1, one evaluation of a polynomial that three relations measure,
 one decomposition of a variable shared by a fractional power and an
 exponential.  Every margin is also compared, with ``==``, with one
 computed here from plain norms and evaluations, so none of the saved
-work changes a bit of the output.
+work changes a bit of the output.  The one Hermitian gate,
+``hermitian_excess``, is checked against the defect it may skip.
 """
 
 from collections import Counter
@@ -21,10 +22,13 @@ from hypothesis import given, settings, strategies as st
 from matrel import approx, matcalc, ncpoly, relations
 from matrel.approx import CompressionSchedule, Cutoff, model, residual_curves
 from matrel.matcalc import (
+    NotHermitianError,
     TolerancePolicy,
     adjoint,
+    fractional_power,
     from_spectrum,
     hermitian_defect,
+    hermitian_excess,
     op_norm,
     spectrum,
     spectrum_values,
@@ -276,3 +280,62 @@ def test_a_polynomial_norm_is_kept_per_policy():
     assert a.poly_norm(rels[-1].poly, loose) == 2.0
     strict = relations.residual(rels[-1], a, POLICY)
     assert not strict.satisfied and strict.margin == -np.inf
+
+
+def _near_hermitian(draw, rng, dim, h, slack):
+    """h plus a skew-Hermitian part whose defect is 0.3 to 3 times slack."""
+    k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    skew = (k - adjoint(k)) / 2
+    return h + skew * (draw(st.floats(0.3, 3.0)) * slack
+                       / hermitian_defect(skew))
+
+
+@st.composite
+def gated_matrices(draw):
+    """A matrix of dimension 1 to 5, Hermitian, near Hermitian or general,
+    and a slack from 1e-12 to 1."""
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slack = 10.0 ** draw(st.floats(-12.0, 0.0))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + adjoint(g)) / 2
+    kind = draw(st.sampled_from(["hermitian", "near", "general"]))
+    if kind == "near":
+        return _near_hermitian(draw, rng, dim, h, slack), slack
+    return (h if kind == "hermitian" else g), slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_matrices())
+def test_hermitian_excess_is_the_defect_beyond_the_slack(case):
+    m, slack = case
+    d = hermitian_defect(m)
+    assert hermitian_excess(m, slack) == (d if d > slack else 0.0)
+
+
+@st.composite
+def rooted_matrices(draw):
+    """A positive definite matrix of norm 1e-6 to 1e6 near Hermitian at
+    its own slack, or Hermitian, and a policy whose tol_eq is drawn."""
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    p = g @ adjoint(g) + np.eye(dim)
+    p *= 10.0 ** draw(st.floats(-6.0, 6.0)) / op_norm(p)
+    policy = TolerancePolicy(tol_eq=10.0 ** draw(st.floats(-12.0, -2.0)),
+                             tol_psd=1e-2)
+    if draw(st.booleans()):
+        return p, policy
+    slack = policy.slack(op_norm(p))[0]
+    return _near_hermitian(draw, rng, dim, p, slack), policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_matrices())
+def test_fractional_power_refuses_exactly_beyond_its_slack(case):
+    m, policy = case
+    if hermitian_defect(m) > policy.slack(op_norm(m))[0]:
+        with pytest.raises(NotHermitianError):
+            fractional_power(m, 0.5, policy)
+    else:
+        fractional_power(m, 0.5, policy)
