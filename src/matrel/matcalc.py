@@ -106,11 +106,12 @@ def op_norm_bound(m: np.ndarray) -> float:
     """An upper bound of :func:`op_norm` at a fraction of its cost:
     sqrt(||m||_1 ||m||_inf), the largest absolute column and row sums
     (Golub and Van Loan, Matrix Computations, 2.3).  The two roots are
-    taken apart, so the product neither overflows nor underflows; a
+    taken apart, so only a sum overflows, and nothing underflows; a
     caller compares it with :data:`BOUND_MARGIN` to spare."""
     a = np.abs(m)
-    return (float(np.sqrt(a.sum(axis=0).max(initial=0.0)))
-            * float(np.sqrt(a.sum(axis=1).max(initial=0.0))))
+    with np.errstate(over="ignore"):
+        return (float(np.sqrt(a.sum(axis=0).max(initial=0.0)))
+                * float(np.sqrt(a.sum(axis=1).max(initial=0.0))))
 
 
 def op_norms(stack) -> np.ndarray:
@@ -134,8 +135,10 @@ def real_part(a) -> np.ndarray:
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """Symmetrized so that eigh sees an exactly Hermitian matrix; on a
-    Hermitian input this changes no bit."""
-    return (m + adjoint(m)) / 2
+    Hermitian input this changes no bit.  Halving first keeps it finite."""
+    h = m / 2
+    h += adjoint(h)
+    return h
 
 
 def hermitian_defect(m: np.ndarray) -> float:
@@ -175,9 +178,10 @@ def unitary_defect(m: np.ndarray) -> float:
     A zero column puts -1 on the diagonal of m*m - 1, and every s_i^2 - 1
     lies in [-1, ||m||^2 - 1].  So when :func:`op_norm_bound` puts
     ||m||^2 at most 2, the defect is exactly 1, with no product and no
-    SVD.  That covers every cut corner of a contraction."""
+    SVD.  That covers every cut corner of a contraction; capped at 2, the
+    bound squares without overflow."""
     if (not m.any(axis=0).all()
-            and op_norm_bound(m) ** 2 * (1.0 + BOUND_MARGIN) <= 2.0):
+            and min(op_norm_bound(m), 2.0) ** 2 * (1.0 + BOUND_MARGIN) <= 2.0):
         return 1.0
     return op_norm(adjoint(m) @ m - np.eye(len(m)))
 

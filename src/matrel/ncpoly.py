@@ -190,12 +190,6 @@ class NcPolynomial:
     def zero(cls, variables) -> "NcPolynomial":
         return cls(_as_variables(variables), ())
 
-    def degree(self) -> Fraction:
-        """Largest monomial degree.  Undefined for the zero polynomial."""
-        if not self.monomials:
-            raise PolyError("the zero polynomial has no degree")
-        return max(m.degree() for m in self.monomials)
-
     def _check_compatible(self, other: "NcPolynomial") -> None:
         if self.variables != other.variables:
             raise PolyError("polynomials are over different variable sets")
@@ -243,8 +237,7 @@ class NcPolynomial:
         for m in self.monomials:
             word = [(name, not star, exp) for name, star, exp in reversed(m.word)]
             terms.append((np.conj(m.coeff), word))
-        return NcPolynomial.from_terms(self.variables, terms) if terms \
-            else NcPolynomial(self.variables, ())
+        return NcPolynomial.from_terms(self.variables, terms)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -299,15 +292,15 @@ class Assignment:
             raise PolyError("an assignment needs at least one variable")
         self._store = store
         self.dim = dim
-        self._norms: dict[str, float] = {}
-        self._scale: float | None = None
-        # Norms and fractional powers are keyed by policy too: it decides
-        # the Hermitian check and the clamp of every fractional power.
-        self._poly_norms: dict[tuple[NcPolynomial, matcalc.TolerancePolicy],
-                               float] = {}
-        self._spectra: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._powers: dict[tuple[Factor, matcalc.TolerancePolicy],
-                           np.ndarray] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _keep(self, key: tuple, make):
+        """The value kept under ``key``, made by ``make()`` the first time
+        it is asked for.  A call that raises keeps nothing, and raises
+        again."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -329,9 +322,7 @@ class Assignment:
 
     def op_norm(self, name: str) -> float:
         """The operator norm of ``name``'s matrix."""
-        if name not in self._norms:
-            self._norms[name] = matcalc.op_norm(self[name])
-        return self._norms[name]
+        return self._keep(("norm", name), lambda: matcalc.op_norm(self[name]))
 
     def max_norm(self) -> float:
         return max(self.op_norm(name) for name in self._store)
@@ -341,8 +332,9 @@ class Assignment:
         :meth:`~matrel.matcalc.TolerancePolicy.slack` is given.  Variables
         are visited by decreasing :func:`~matrel.matcalc.op_norm_bound`,
         and once a bound, with its margin, is below the running value, no
-        norm left can raise it, so none is taken."""
-        if self._scale is None:
+        norm left can raise it, so none is taken.  A norm that overflows
+        scales no slack, and raises :class:`~matrel.matcalc.NonFiniteError`."""
+        def make() -> float:
             scale = 1.0
             bounds = sorted(((matcalc.op_norm_bound(m), name)
                              for name, m in self._store.items()), reverse=True)
@@ -350,30 +342,41 @@ class Assignment:
                 if bound * (1.0 + matcalc.BOUND_MARGIN) < scale:
                     break
                 scale = max(scale, self.op_norm(name))
-            self._scale = scale
-        return self._scale
+            if math.isinf(scale):
+                raise matcalc.NonFiniteError("an operator norm overflowed")
+            return scale
+        return self._keep(("scale",), make)
 
     def poly_norm(self, p: NcPolynomial,
                   policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
                   ) -> float:
-        """||p(a)||; an evaluation that raises is not kept, and raises
-        again."""
-        key = (p, policy)
-        if key not in self._poly_norms:
-            self._poly_norms[key] = matcalc.op_norm(evaluate(p, self, policy))
-        return self._poly_norms[key]
+        """||p(a)||, kept per policy as :meth:`power` is."""
+        return self._keep(("poly_norm", p, policy),
+                          lambda: matcalc.op_norm(evaluate(p, self, policy)))
 
     def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """:func:`~matrel.matcalc.spectrum` of ``name``'s matrix, read-only."""
-        if name not in self._spectra:
-            w, v = matcalc.spectrum(self[name])
-            w.setflags(write=False)
-            v.setflags(write=False)
-            self._spectra[name] = w, v
-        return self._spectra[name]
+        return self._keep(("spectrum", name), lambda: tuple(
+            map(_read_only, matcalc.spectrum(self[name]))))
+
+    def power(self, name: str, exponent: Fraction,
+              policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
+              ) -> np.ndarray:
+        """:func:`~matrel.matcalc.fractional_power` of ``name``'s matrix
+        on :meth:`spectrum`, read-only; kept per policy, which decides the
+        Hermitian check and the clamp."""
+        return self._keep(("power", name, exponent, policy),
+                          lambda: _read_only(matcalc.fractional_power(
+                              self[name], exponent, policy,
+                              functools.partial(self.spectrum, name))))
 
     def __repr__(self) -> str:
         return f"Assignment(dim={self.dim}, vars={list(self._store)})"
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
 
 
 def evaluate(p: NcPolynomial, assignment,
@@ -390,25 +393,15 @@ def evaluate(p: NcPolynomial, assignment,
     """
     a = (assignment if isinstance(assignment, Assignment)
          else Assignment(assignment))
-    # Each distinct factor is powered once per call.  A fractional one
-    # costs a spectral decomposition, so it is taken once per assignment
-    # and policy; one that raises is not kept, and raises again.
+    # Each distinct factor is powered once per call; the assignment keeps
+    # fractional ones, which are self-adjoint and so never starred.
     powers: dict[Factor, np.ndarray] = {}
     for factor in dict.fromkeys(f for mono in p.monomials for f in mono.word):
         name, star, exp = factor
-        fractional = exp.denominator != 1
-        if fractional and (factor, policy) in a._powers:
-            powers[factor] = a._powers[factor, policy]
-            continue
-        base = matcalc.adjoint(a[name]) if star else a[name]
-        if fractional:
-            # A fractional factor is self-adjoint and so never starred:
-            # its spectrum is the variable's.
-            power = matcalc.fractional_power(
-                base, exp, policy, functools.partial(a.spectrum, name))
-            power.setflags(write=False)
-            powers[factor] = a._powers[factor, policy] = power
+        if exp.denominator != 1:
+            powers[factor] = a.power(name, exp, policy)
         else:
+            base = matcalc.adjoint(a[name]) if star else a[name]
             powers[factor] = np.linalg.matrix_power(base, int(exp))
     # acc starts at +0, which absorbs the sign of a zero in any product.
     acc = np.zeros((a.dim, a.dim), dtype=complex)
