@@ -17,6 +17,7 @@ wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +92,14 @@ def op_norm(a) -> float:
     if m.shape[0] == 0:
         return 0.0
     # norm(m, 2) is the max of this same SVD, bit for bit, at less cost.
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    norm = float(np.linalg.svd(m, compute_uv=False)[0])
+    if math.isnan(norm):
+        # LAPACK reads a finite entry whose modulus overflows, such as
+        # 1.5e308+1.5e308i, as NaN.  A quarter of m has no such entry; four
+        # times its norm is the norm, or inf (a Python float overflows
+        # without a warning).
+        return 4 * op_norm(m / 4)
+    return norm
 
 
 # Relative room left between a computed bound and a computed operator

@@ -211,19 +211,21 @@ def residual(rel: Relation, a: Assignment,
     matrix; when the evaluated matrix is not Hermitian within tolerance,
     the margin is the equality slack minus the Hermitian defect instead,
     so the verdict degrades to a quantified failure rather than an
-    exception.  An
-    evaluation that overflows (``x^4000``, ``exp`` of a large real part)
-    fails with margin -inf and residual inf: the assignment is finite,
-    so a non-finite entry can only come from the evaluation.  So does a
+    exception.  An assignment with an operator norm that overflows leaves
+    no slack, and fails every relation with margin -inf and residual inf.
+    So does an evaluation that overflows (``x^4000``, ``exp`` of a large
+    real part), and the detail says which of the two it was.  So does a
     fractional power of a matrix that is not Hermitian or not positive,
     with the error's text as the detail.
     """
+    detail = "an operator norm of the assignment overflowed"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            a.scale()
+            detail = "evaluation overflowed to non-finite entries"
             return _residual(rel, a, policy)
     except matcalc.NonFiniteError:
-        return Verdict(False, -math.inf,
-                       "evaluation overflowed to non-finite entries")
+        return Verdict(False, -math.inf, detail)
     except (matcalc.NotHermitianError, matcalc.NegativeSpectrumError) as err:
         return Verdict(False, -math.inf, str(err))
 

@@ -343,40 +343,46 @@ _CLIMB_SCALES = (0.5, 0.2, 0.08, 0.03, 0.01)
 _CLIMB_MIN_GAIN = 1e-13
 # Ratio evaluations per stacked kernel call: the climb's speculative
 # batch and the stream mode's chunk.  The five budget-2000 searches of
-# the reproduction suite took a median 0.60, 0.52, 0.54, 0.54 and 0.90 s
-# with 4, 8, 12, 16 and 32 (2-vCPU Xeon, one OpenBLAS thread); larger
-# batches waste more work past each accepted step.
+# the reproduction suite took a median 0.39, 0.38, 0.36, 0.36 and 0.39 s
+# with 4, 6, 8, 12 and 16, and no other size beat 8 in more than 2 of 10
+# rounds that alternated the sizes in one process (2-vCPU Xeon, one
+# OpenBLAS thread).  Larger batches waste more work past each accepted
+# step.
 _CLIMB_BATCH = 8
 
 
 def commutator_ratio(a: np.ndarray, b: np.ndarray) -> float | None:
     """||a b^(1/2) - b^(1/2) a|| / ||ab - ba||^(1/2), or None when the
     commutator is degenerate (norm below 1e-12)."""
-    a = matcalc.as_matrix(a)
-    b = matcalc.as_matrix(b)
-    return _ratios(a[None], b[None])[0]
+    a = matcalc.as_matrix(a)[None]
+    b = matcalc.as_matrix(b)[None]
+    return _ratios(a, b, _psd_power(b, 0.5))[0]
 
 
-def _ratios(a: np.ndarray, b: np.ndarray) -> list[float | None]:
-    """:func:`commutator_ratio` row by row over (K, n, n) stacks of a
-    and b, with one LAPACK call per step for all rows."""
-    den = matcalc.op_norms(a @ b - b @ a)
-    s = _psd_power(b, 0.5)
-    num = matcalc.op_norms(a @ s - s @ a)
+def _ratios(a: np.ndarray, b: np.ndarray, s: np.ndarray
+            ) -> list[float | None]:
+    """:func:`commutator_ratio` row by row over (K, n, n) stacks of a, b
+    and s = b^(1/2), with one SVD call for both norms of every row.  A
+    one-row stack of a, or of b with its s, serves every row of the
+    other."""
+    norms = matcalc.op_norms(
+        np.concatenate([a @ b - b @ a, a @ s - s @ a])).tolist()
+    k = len(norms) // 2
     return [x / math.sqrt(d) if d >= COMMUTATOR_DEGENERATE else None
-            for x, d in zip(num.tolist(), den.tolist())]
+            for d, x in zip(norms[:k], norms[k:])]
 
 
-def _pair_ratios(g: np.ndarray, c: np.ndarray) -> list[float | None]:
-    """Ratios of the normalized pairs a = g/||g||, b = c*c/||c*c|| over
-    (K, n, n) stacks of (g, c); None where ||g|| or ||c*c|| is 0 (that
-    matrix stays 0, so the pair commutes) or the commutator is
-    degenerate."""
-    ng = matcalc.op_norms(g)
-    b = matcalc.adjoint(c) @ c
-    nb = matcalc.op_norms(b)
-    return _ratios(g / np.where(ng == 0, 1.0, ng)[:, None, None],
-                   b / np.where(nb == 0, 1.0, nb)[:, None, None])
+def _unit(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a (K, n, n) stack over its operator norm; a zero
+    matrix stays 0."""
+    norms = matcalc.op_norms(m)
+    return m / np.where(norms == 0, 1.0, norms)[:, None, None]
+
+
+def _root(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b = c*c/||c*c|| and b^(1/2) over a (K, n, n) stack of c."""
+    b = _unit(matcalc.adjoint(c) @ c)
+    return b, _psd_power(b, 0.5)
 
 
 def commutator_sqrt_search(dim: int, seed: int, budget: int,
@@ -392,9 +398,11 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
     improvement, so the trace is monotone by construction, and the best
     parameters are stored in the stats for direct replay.
 
-    A sweep tries each move (entry of g or c, step +-s or +-is) in a
-    fixed order and keeps a move that gains.  The climb evaluates the
-    next moves of a sweep in stacked batches, each candidate built as if
+    A sweep tries each move (entry of g, then of c, step +-s or +-is) in
+    a fixed order and keeps a move that gains.  While the first half of
+    a sweep moves g, b and b^(1/2) are computed once from c; while the
+    second moves c, a is computed once from g.  The climb evaluates the
+    next moves of a half in stacked batches, each candidate built as if
     every earlier one in the batch was rejected (added, then subtracted
     again, so rounding drift is replayed exactly).  The first gaining
     candidate is kept and the rest discarded, and the budget is charged
@@ -430,51 +438,59 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
         for _, run in itertools.groupby(
                 pairs, key=lambda pair: (pair[0].shape, pair[1].shape)):
             while chunk := list(itertools.islice(run, _CLIMB_BATCH)):
-                values = _pair_ratios(np.stack([g for g, _ in chunk]),
-                                      np.stack([c for _, c in chunk]))
+                values = _ratios(_unit(np.stack([g for g, _ in chunk])),
+                                 *_root(np.stack([c for _, c in chunk])))
                 for (g, c), value in zip(chunk, values):
                     evals += 1
                     consider(value, g, c, evals - 1)  # the pair's stream index
     else:
         while evals < budget:
             rng = stream(seed, restarts, 0)
-            pair = np.stack([ginibre(rng, dim), ginibre(rng, dim)])
+            pair = [ginibre(rng, dim), ginibre(rng, dim)]  # [g, c]
             evals += 1
-            current = _pair_ratios(pair[:1], pair[1:])[0]
-            consider(current, pair[0], pair[1], restarts)
+            current = _ratios(_unit(pair[0][None]), *_root(pair[1][None]))[0]
+            consider(current, *pair, restarts)
             if current is None:
                 current = -math.inf
             for scale in _CLIMB_SCALES:
-                moves = [(t, i, j, delta)
-                         for t in (0, 1) for i in range(dim) for j in range(dim)
+                moves = [(i, j, delta) for i in range(dim) for j in range(dim)
                          for delta in (scale, -scale, 1j * scale, -1j * scale)]
                 improved = True
                 while improved and evals < budget:
                     improved = False
-                    done = 0
-                    while done < len(moves) and evals < budget:
-                        batch = moves[done:done + min(_CLIMB_BATCH,
-                                                      budget - evals)]
-                        work = pair.copy()
-                        cands = np.empty((len(batch),) + pair.shape, complex)
-                        for k, (t, i, j, delta) in enumerate(batch):
-                            work[t, i, j] += delta
-                            cands[k] = work
-                            work[t, i, j] -= delta
-                        values = _pair_ratios(cands[:, 0], cands[:, 1])
-                        hit = next((k for k, value in enumerate(values)
-                                    if value is not None
-                                    and value > current + _CLIMB_MIN_GAIN),
-                                   None)
-                        taken = len(batch) if hit is None else hit + 1
-                        evals += taken
-                        done += taken
-                        if hit is None:
-                            pair = work
+                    for t in (0, 1):  # the g moves, then the c moves
+                        if evals >= budget:
+                            break
+                        # The fixed half, once per half-sweep, as one row.
+                        if t == 0:
+                            b, s = _root(pair[1][None])
                         else:
-                            pair, current = cands[hit], values[hit]
-                            consider(current, pair[0], pair[1], restarts)
-                            improved = True
+                            a = _unit(pair[0][None])
+                        done = 0
+                        while done < len(moves) and evals < budget:
+                            batch = moves[done:done + min(_CLIMB_BATCH,
+                                                          budget - evals)]
+                            work = pair[t].copy()
+                            cands = np.empty((len(batch), dim, dim), complex)
+                            for k, (i, j, delta) in enumerate(batch):
+                                work[i, j] += delta
+                                cands[k] = work
+                                work[i, j] -= delta
+                            values = (_ratios(_unit(cands), b, s) if t == 0
+                                      else _ratios(a, *_root(cands)))
+                            hit = next((k for k, value in enumerate(values)
+                                        if value is not None
+                                        and value > current + _CLIMB_MIN_GAIN),
+                                       None)
+                            taken = len(batch) if hit is None else hit + 1
+                            evals += taken
+                            done += taken
+                            if hit is None:
+                                pair[t] = work
+                            else:
+                                pair[t], current = cands[hit], values[hit]
+                                consider(current, *pair, restarts)
+                                improved = True
             restarts += 1
 
     stats: dict = {

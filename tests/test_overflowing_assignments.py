@@ -34,6 +34,10 @@ from matrel.relations import (
 OVERFLOWING = "x\n1e308+0i 1e308+0i\n1e308+0i 1e308+0i\n"
 # Positive, norm 1e308, but x + x* overflows.
 BIG_DIAGONAL = "x\n1e308+0i 0+0i\n0+0i 1e308+0i\n"
+# Hermitian, every part finite, but |1.5e308+1.5e308i| overflows; LAPACK
+# reads such an entry as NaN.
+COMPLEX_MODULUS = ("x\n0+0i 1.5e308+1.5e308i\n"
+                   "1.5e308-1.5e308i 0+0i\n")
 
 
 def _check(tmp_path, capsys, relations: str, matrices: str, nvars: int):
@@ -94,6 +98,39 @@ def test_approx_of_an_overflowing_norm_leaves_a_residual_at_full_rank(
     assert out.splitlines()[-1] == "final rank 3: worst residual inf"
 
 
+def test_an_overflowing_complex_modulus_fails_every_relation(
+        tmp_path, capsys):
+    status, out = _check(
+        tmp_path, capsys,
+        "var x hermitian;\nvar y;\nrel x = 0;\nrel norm(x) <= 1;\n"
+        "rel x >= 0;\nrel re(x) <= 1;\nrel y = 0;\n",
+        COMPLEX_MODULUS + "y\n1+0i 0+0i\n0+0i 1+0i\n", 2)
+    assert status == 1
+    assert "nan" not in out
+    rows = _rows(out)
+    assert len(rows) == 6  # x hermitian too
+    assert all(row == ["NO", "-inf", "inf"] for row in rows.values())
+    rel = tmp_path / "a.rel"
+    rel.write_text("var x hermitian;\nrel norm(x) <= 1;\n")
+    (tmp_path / "a.mat").write_text("dim 2 vars 1\n" + COMPLEX_MODULUS)
+    assert main(["approx", str(rel), str(tmp_path / "a.mat"),
+                 "--procedure", "loewner", "--schedule", "1,2"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert out.splitlines()[-1] == "final rank 2: worst residual inf"
+
+
+def test_the_detail_says_what_overflowed():
+    xy = (Variable("x"), Variable("y"))
+    bystander = Assignment({"x": np.full((2, 2), 1e308), "y": np.eye(2)})
+    verdict = residual(PolyZero(parse_poly("y", xy)), bystander)
+    assert verdict.detail == "an operator norm of the assignment overflowed"
+    verdict = residual(NormBound(parse_poly("x^4000", xy[:1]), 1.0),
+                       Assignment({"x": np.diag([800.0, 2.0])}))
+    assert verdict.margin == -math.inf
+    assert verdict.detail == "evaluation overflowed to non-finite entries"
+
+
 def test_a_hermitian_part_near_the_largest_double(tmp_path, capsys):
     status, out = _check(
         tmp_path, capsys,
@@ -151,6 +188,8 @@ SHAPES = {
     "diagonal": np.eye(2),
     "hermitian": np.array([[1.0, 1j], [-1j, -1.0]]),
     "nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    # at t = 1e308 a finite entry whose modulus overflows
+    "complex": np.array([[0.0, 1.5 + 1.5j], [1.5 - 1.5j, 0.0]]),
 }
 
 

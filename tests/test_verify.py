@@ -518,11 +518,31 @@ def test_batched_climb_matches_sequential_climb(dim):
     # dim 1 pairs always commute, so every evaluation is degenerate
     k = _CLIMB_BATCH
     mid_sweep = 1 + 12 * dim * dim + 3
+    g_half = 1 + 4 * dim * dim  # the first evaluation and g half-sweep
+    edges = (g_half - 1, g_half, g_half + 1, 1 + 8 * dim * dim)
     for seed in (505, 17):
-        for budget in (1, 2, k - 1, k, k + 1, mid_sweep, 300):
+        for budget in (1, 2, k - 1, k, k + 1, mid_sweep, 300, *edges):
             got = commutator_sqrt_search(dim, seed, budget)
             want = _sequential_search(dim, seed, budget)
             assert _strip_runtime(got) == _strip_runtime(want), (seed, budget)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_g_half_sweep_takes_one_root_of_the_current_c(monkeypatch, dim):
+    roots = []
+    power = verify._psd_power
+    monkeypatch.setattr(verify, "_psd_power",
+                        lambda m, t: roots.append(m.copy()) or power(m, t))
+    # the restart's first evaluation, then its first g half-sweep
+    commutator_sqrt_search(dim, 505, 1 + 4 * dim * dim)
+    rng = stream(505, 0, 0)
+    ginibre(rng, dim)
+    c = ginibre(rng, dim)
+    b = matcalc.adjoint(c) @ c
+    b = b / op_norm(b)
+    assert [len(m) for m in roots] == [1, 1]
+    for m in roots:
+        np.testing.assert_array_equal(m[0], b)
 
 
 def test_batched_stream_matches_sequential_stream():
