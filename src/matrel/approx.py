@@ -235,9 +235,10 @@ def quasicentral_approximation(
         policy: TolerancePolicy = DEFAULT_POLICY) -> list[QuasicentralStep]:
     """Run the smoothed-cutoff procedure with homogeneous rescaling.
 
-    Every relation must be a :class:`NormBound` with a homogeneous
-    polynomial.  At each rank, with u the cutoff diagonal and
-    x_u = u x u, the step is y = alpha x_u where
+    The :class:`NormBound` members of ``relations`` drive the rescaling,
+    and other relations are passed over; there must be at least one, and
+    each needs a homogeneous polynomial.  At each rank, with u the
+    cutoff diagonal and x_u = u x u, the step is y = alpha x_u where
 
         alpha = min over bounds of min(1, (||p(x)|| / ||p(x_u)||)^(1/d)),
 

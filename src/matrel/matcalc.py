@@ -214,7 +214,13 @@ def spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_values(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m``, unchecked as
     in :func:`spectrum`."""
-    return np.linalg.eigvalsh(_hermitian_part(m))
+    w = np.linalg.eigvalsh(_hermitian_part(m))
+    if np.isnan(w).any():
+        # As in op_norm: a quarter of m has no finite entry whose modulus
+        # overflows; four times its eigenvalues may overflow to inf.
+        with np.errstate(over="ignore"):
+            w = 4 * np.linalg.eigvalsh(_hermitian_part(m / 4))
+    return w
 
 
 def from_spectrum(v: np.ndarray, fw: np.ndarray) -> np.ndarray:

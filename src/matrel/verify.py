@@ -76,9 +76,7 @@ def positive_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def contraction_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = ginibre(rng, dim)
-    norm = matcalc.op_norm(g)
-    return g / norm if norm > 0 else g
+    return _unit(ginibre(rng, dim)[None])[0]
 
 
 def unitary_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -176,21 +174,24 @@ def _worst(violations: Iterable[float]) -> tuple[float, int]:
     return worst, worst_index
 
 
+def _report(id: str, start: float, params: dict, samples: int,
+            violation: float, worst_seed: dict, threshold: float | None,
+            stats: dict | None = None) -> ExperimentReport:
+    """The report of a run whose clock started at ``start``."""
+    return ExperimentReport(id, params, samples, violation, worst_seed,
+                            (time.perf_counter() - start) * 1e3, threshold,
+                            stats or {})
+
+
 def _ensemble_report(id: str, e: Ensemble, start: float,
                      worst: tuple[float, int], threshold: float | None,
                      stats: dict | None = None, **params) -> ExperimentReport:
     """The report of a run over ``e`` whose worst sample is ``worst``."""
     violation, index = worst
-    return ExperimentReport(
-        id=id,
-        params={"dim": e.dim, "seed": e.seed, "count": e.count, **params},
-        samples=e.count,
-        max_violation=violation,
-        worst_seed={"seed": e.seed, "index": index},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        threshold=threshold,
-        stats=stats or {},
-    )
+    return _report(id, start,
+                   {"dim": e.dim, "seed": e.seed, "count": e.count, **params},
+                   e.count, violation, {"seed": e.seed, "index": index},
+                   threshold, stats)
 
 
 # Samples per stacked kernel call in expnorm, heinz and monotone.  At
@@ -456,18 +457,14 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
                 moves = [(i, j, delta) for i in range(dim) for j in range(dim)
                          for delta in (scale, -scale, 1j * scale, -1j * scale)]
                 improved = True
-                while improved and evals < budget:
+                while improved:
                     improved = False
                     for t in (0, 1):  # the g moves, then the c moves
-                        if evals >= budget:
-                            break
-                        # The fixed half, once per half-sweep, as one row.
-                        if t == 0:
-                            b, s = _root(pair[1][None])
-                        else:
-                            a = _unit(pair[0][None])
                         done = 0
                         while done < len(moves) and evals < budget:
+                            if not done:  # the fixed half, once, as one row
+                                fixed = (_root(pair[1][None]) if t == 0
+                                         else (_unit(pair[0][None]),))
                             batch = moves[done:done + min(_CLIMB_BATCH,
                                                           budget - evals)]
                             work = pair[t].copy()
@@ -476,8 +473,8 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
                                 work[i, j] += delta
                                 cands[k] = work
                                 work[i, j] -= delta
-                            values = (_ratios(_unit(cands), b, s) if t == 0
-                                      else _ratios(a, *_root(cands)))
+                            values = (_ratios(_unit(cands), *fixed) if t == 0
+                                      else _ratios(*fixed, *_root(cands)))
                             hit = next((k for k, value in enumerate(values)
                                         if value is not None
                                         and value > current + _CLIMB_MIN_GAIN),
@@ -502,16 +499,9 @@ def commutator_sqrt_search(dim: int, seed: int, budget: int,
         for name, m in zip("gc", best_pair):
             stats[f"best_{name}"] = m.real.tolist()
             stats[f"best_{name}_imag"] = m.imag.tolist()
-    return ExperimentReport(
-        id=f"commutator-d{dim}",
-        params={"dim": dim, "seed": seed, "budget": budget},
-        samples=evals,
-        max_violation=best,
-        worst_seed={"seed": seed, "index": best_restart},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        threshold=None,
-        stats=stats,
-    )
+    return _report(f"commutator-d{dim}", start,
+                   {"dim": dim, "seed": seed, "budget": budget}, evals, best,
+                   {"seed": seed, "index": best_restart}, None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +526,10 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     """Check a relation file against random kind-respecting assignments.
 
     Each sample draws every declared variable according to its kind
-    (general variables get general samples) and records the aggregate
-    residual of the explicit relations.  For relations that hold
-    identically, the worst residual stays at rounding level; a
+    (general variables get general samples), so the side relations of
+    the kinds hold by construction and go unchecked; the sample records
+    the aggregate residual of the explicit relations.  For relations
+    that hold identically, the worst residual stays at rounding level; a
     polynomial that can evaluate non-Hermitian or indefinite shows up as
     a genuine violation.  A file without explicit relations is a
     ValueError, since only they can fail.
@@ -550,28 +541,24 @@ def positivity_transfer_check(relations_text: str, dims: Sequence[int],
     dims = [_index(dim, "every dimension", 1) for dim in dims]
     start = time.perf_counter()
     variables, rels = parse_relations(relations_text)
-    # The side relations of the kinds hold for every sample by construction.
-    if len(rels) == len(side_relations(variables.values())):
+    explicit = rels[len(side_relations(variables.values())):]
+    if not explicit:
         raise ValueError("the positivity check needs at least one explicit "
                          "relation")
 
     def violation(dim: int, i: int) -> float:
         a = Assignment({name: _SAMPLERS[var.kind](stream(seed, i, role), dim)
                         for role, (name, var) in enumerate(variables.items())})
-        return check_all(rels, a, policy).residual / a.scale()
+        return check_all(explicit, a, policy).residual / a.scale()
 
     cells = [(dim, i) for dim in dims for i in range(count)]
     worst, k = _worst(violation(dim, i) for dim, i in cells)
     worst_dim, worst_index = cells[k]
-    return ExperimentReport(
-        id="positivity",
-        params={"dims": list(dims), "seed": seed, "count": count},
-        samples=len(cells),
-        max_violation=worst,
-        worst_seed={"seed": seed, "index": worst_index, "dim": worst_dim},
-        runtime_ms=(time.perf_counter() - start) * 1e3,
-        threshold=POSITIVITY_THRESHOLD,
-    )
+    return _report("positivity", start,
+                   {"dims": list(dims), "seed": seed, "count": count},
+                   len(cells), worst,
+                   {"seed": seed, "index": worst_index, "dim": worst_dim},
+                   POSITIVITY_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

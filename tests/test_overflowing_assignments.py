@@ -120,6 +120,22 @@ def test_an_overflowing_complex_modulus_fails_every_relation(
     assert out.splitlines()[-1] == "final rank 2: worst residual inf"
 
 
+def test_an_overflowing_modulus_in_a_product_fails_its_relations(
+        tmp_path, capsys):
+    # x y has finite entries 1.5e308(1 +- i), which LAPACK's eigvalsh
+    # reads as NaN; the eigenvalues of a quarter of it overflow to -inf
+    status, out = _check(
+        tmp_path, capsys,
+        "var x hermitian;\nvar y hermitian;\nrel x y >= 0;\nrel x y <= x;\n",
+        "x\n1.5e154+0i 0+0i\n0+0i 1.5e154+0i\n"
+        "y\n0+0i 1e154+1e154i\n1e154-1e154i 0+0i\n", 2)
+    assert status == 1
+    assert "nan" not in out
+    rows = _rows(out)
+    assert rows["x y >= 0"] == rows["x y <= x"] == ["NO", "-inf", "inf"]
+    assert out.splitlines()[-1].endswith("worst margin -inf)")
+
+
 def test_the_detail_says_what_overflowed():
     xy = (Variable("x"), Variable("y"))
     bystander = Assignment({"x": np.full((2, 2), 1e308), "y": np.eye(2)})

@@ -195,6 +195,18 @@ def test_positivity_transfer_catches_false_claims():
     assert "dim" in rep.worst_seed
 
 
+def test_positivity_checks_only_the_explicit_relations(monkeypatch):
+    # the kinds' side relations (x and y positive) hold by construction
+    checked = []
+    check = verify.check_all
+    monkeypatch.setattr(verify, "check_all",
+                        lambda rels, a, policy: checked.append(len(rels))
+                        or check(rels, a, policy))
+    positivity_transfer_check(DEFAULT_POSITIVITY_RELATIONS, dims=(2, 3),
+                              seed=606, count=4)
+    assert checked == [3] * 8
+
+
 @pytest.mark.parametrize("dims, count, words", [
     ((2, 3), 0, "count must be at least 1"),
     ((2,), -1, "count must be at least 1"),
