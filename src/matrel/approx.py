@@ -260,23 +260,17 @@ def _steps(a: Assignment, bounds: Sequence[NormBound],
     :func:`_cut` returns.  A polynomial has no constant term, so its norm
     on the corner is its norm on the full step."""
     originals = [_tracked_norm(b, a, policy) for b in bounds]
+    degrees = [float(homogeneity(b.poly)) for b in bounds]
     steps = []
     for rank in schedule.ranks:
         cut_a = _cut(a, schedule.cutoff, rank)
         defects = _defects(a, schedule.cutoff, rank)
-        alpha = 1.0
-        cut_norms = []
-        for b, orig in zip(bounds, originals):
-            norm_u = _tracked_norm(b, cut_a, policy)
-            cut_norms.append(norm_u)
-            if norm_u == 0.0:
-                continue
-            degree = float(homogeneity(b.poly))
-            alpha = min(alpha, min(1.0, (orig / norm_u) ** (1.0 / degree)))
+        norms = [_tracked_norm(b, cut_a, policy) for b in bounds]
+        alpha = min([1.0] + [(orig / n) ** (1.0 / d) for orig, n, d
+                             in zip(originals, norms, degrees) if n != 0.0])
         scaled = Assignment({name: alpha * m for name, m in cut_a.items()})
-        bound_norms = {
-            describe(b): (alpha ** float(homogeneity(b.poly))) * n
-            for b, n in zip(bounds, cut_norms)}
+        bound_norms = {describe(b): (alpha ** d) * n
+                       for b, n, d in zip(bounds, norms, degrees)}
         steps.append(QuasicentralStep(rank, scaled, alpha, defects, bound_norms))
     return steps
 
@@ -423,7 +417,7 @@ def model(kind: str, dim: int,
 
 def clock_shift_norm_gap(dim: int) -> float:
     """||uv - vu|| for the clock and modular shift pair: 2 sin(pi / dim)."""
-    return 2.0 * math.sin(math.pi / dim)
+    return 2.0 * math.sin(math.pi / _index(dim, "model dimension", 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ wrong.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,14 +91,20 @@ def op_norm(a) -> float:
     if m.shape[0] == 0:
         return 0.0
     # norm(m, 2) is the max of this same SVD, bit for bit, at less cost.
-    norm = float(np.linalg.svd(m, compute_uv=False)[0])
-    if math.isnan(norm):
-        # LAPACK reads a finite entry whose modulus overflows, such as
-        # 1.5e308+1.5e308i, as NaN.  A quarter of m has no such entry; four
-        # times its norm is the norm, or inf (a Python float overflows
-        # without a warning).
-        return 4 * op_norm(m / 4)
-    return norm
+    return float(_quartered_on_nan(
+        lambda x: np.linalg.svd(x, compute_uv=False)[0], m))
+
+
+def _quartered_on_nan(f, m: np.ndarray):
+    """``f(m)``, a LAPACK result that scales with ``m``, or four times f
+    of a quarter of m when it has a NaN.  LAPACK reads a finite entry whose
+    modulus overflows, such as 1.5e308+1.5e308i, as NaN.  A quarter of m
+    has no such entry; four times its result is the result, or inf."""
+    out = f(m)
+    if np.isnan(out).any():
+        with np.errstate(over="ignore"):
+            out = 4 * f(m / 4)
+    return out
 
 
 # Relative room left between a computed bound and a computed operator
@@ -214,13 +219,8 @@ def spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_values(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of ``m``, unchecked as
     in :func:`spectrum`."""
-    w = np.linalg.eigvalsh(_hermitian_part(m))
-    if np.isnan(w).any():
-        # As in op_norm: a quarter of m has no finite entry whose modulus
-        # overflows; four times its eigenvalues may overflow to inf.
-        with np.errstate(over="ignore"):
-            w = 4 * np.linalg.eigvalsh(_hermitian_part(m / 4))
-    return w
+    return _quartered_on_nan(
+        lambda x: np.linalg.eigvalsh(_hermitian_part(x)), m)
 
 
 def from_spectrum(v: np.ndarray, fw: np.ndarray) -> np.ndarray:

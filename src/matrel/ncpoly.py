@@ -422,9 +422,10 @@ class Token:
 
 
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_SCAN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TWO_CHAR_OPS = ("<=", ">=")
-_ONE_CHAR_OPS = set("+-*^()/,;=<>")
+_TOKEN_RE = re.compile(
+    rf"(?P<space>\s+)|(?P<imag>{_NUM_RE.pattern}i(?!\w))"
+    rf"|(?P<num>{_NUM_RE.pattern})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op><=|>=|[-+*^()/,;=<>])")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -438,44 +439,22 @@ def tokenize(text: str) -> list[Token]:
     """
     tokens: list[Token] = []
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            value = float(m.group())
+    while i < len(text):
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind, value = m.lastgroup, m.group()
+        if kind in ("imag", "num"):
+            literal = value.removesuffix("i")
+            value = float(literal)
             # a nonzero digit before the exponent makes the literal nonzero
-            mantissa = m.group().upper().partition("E")[0]
+            mantissa = literal.upper().partition("E")[0]
             if math.isinf(value) or (value == 0.0 and mantissa.strip("0.")):
-                raise ParseError(f"number {m.group()!r} is out of range", i)
-            end = m.end()
-            if end < n and text[end] == "i" and (
-                    end + 1 == n or not (text[end + 1].isalnum()
-                                         or text[end + 1] == "_")):
-                tokens.append(Token("imag", value, i))
-                i = end + 1
-                continue
-            tokens.append(Token("num", value, i))
-            i = end
-            continue
-        m = _IDENT_SCAN_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if text[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("op", text[i:i + 2], i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", None, n))
+                raise ParseError(f"number {literal!r} is out of range", i)
+        if kind != "space":
+            tokens.append(Token(kind, value, i))
+        i = m.end()
+    tokens.append(Token("end", None, len(text)))
     return tokens
 
 
@@ -617,9 +596,7 @@ def _parse_factor(stream: TokenStream, variables) -> NcPolynomial:
                 if exp is not None:
                     # (x^2)^(1/2) is |x|, not x, so exponents never stack.
                     raise ParseError("repeated exponent on one factor", op.pos)
-                exp = _parse_rational(stream)
-                if exp <= 0:
-                    raise ParseError(f"exponent {exp} must be positive", op.pos)
+                exp = _parse_rational(stream, op.pos)
         word = [(name, star, exp if exp is not None else Fraction(1))]
         try:
             return NcPolynomial.from_terms(variables, [(1.0, word)])
@@ -634,7 +611,7 @@ def _parse_factor(stream: TokenStream, variables) -> NcPolynomial:
             if op.value == "*":
                 inner = inner.adjoint()
             else:
-                e = _parse_rational(stream)
+                e = _parse_rational(stream, op.pos)
                 if e.denominator != 1:
                     raise ParseError(
                         "fractional exponents apply to single variables only",
@@ -645,8 +622,9 @@ def _parse_factor(stream: TokenStream, variables) -> NcPolynomial:
         f"expected a variable or '(', found {_describe(tok)}", tok.pos)
 
 
-def _parse_rational(stream: TokenStream) -> Fraction:
-    """Parse an exponent: an integer or a parenthesized integer ratio."""
+def _parse_rational(stream: TokenStream, pos: int) -> Fraction:
+    """Parse a positive exponent, an integer or a parenthesized integer
+    ratio; a zero one is a ParseError at ``pos``, the offset of its ``^``."""
     if stream.at_op("("):
         stream.next()
         num = _parse_integer(stream)
@@ -655,8 +633,12 @@ def _parse_rational(stream: TokenStream) -> Fraction:
         stream.take_op(")")
         if den == 0:
             raise ParseError("zero denominator in exponent", stream.peek().pos)
-        return Fraction(num, den)
-    return Fraction(_parse_integer(stream))
+        exp = Fraction(num, den)
+    else:
+        exp = Fraction(_parse_integer(stream))
+    if exp <= 0:
+        raise ParseError(f"exponent {exp} must be positive", pos)
+    return exp
 
 
 def _parse_integer(stream: TokenStream) -> int:

@@ -94,7 +94,7 @@ class NormBound(Relation):
         if self.strict:
             if not self.bound > 0:
                 raise ValueError("a strict norm bound must be positive")
-        elif self.bound < 0:
+        elif not self.bound >= 0:
             raise ValueError("a norm bound must be nonnegative")
 
 

@@ -571,12 +571,17 @@ def clock_shift_pair(dim: int) -> Assignment:
 
 
 def soft_torus_relations(epsilon: float) -> str:
-    """Relation-file text for two unitaries with a small commutator."""
+    """Relation-file text for two unitaries with a small commutator; the
+    bound ``epsilon`` must be finite and nonnegative."""
     from .ncpoly import format_number
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("a commutator bound must be finite and "
+                         f"nonnegative, got {epsilon!r}")
+    # abs writes -0.0 as 0.0, which the relation parser reads
     return (
         "var u unitary;\n"
         "var v unitary;\n"
-        f"rel norm(u v - v u) <= {format_number(epsilon)};\n")
+        f"rel norm(u v - v u) <= {format_number(abs(epsilon))};\n")
 
 
 # ---------------------------------------------------------------------------

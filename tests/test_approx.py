@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,18 @@ def test_clock_shift_commutator_norm():
         gap = op_norm(u @ v - v @ u)
         assert abs(gap - clock_shift_norm_gap(dim)) < 1e-12
         assert abs(clock_shift_norm_gap(dim) - 2 * np.sin(np.pi / dim)) < 1e-15
+
+
+@pytest.mark.parametrize("dim, message", [
+    (0, "model dimension must be at least 1, got 0"),
+    (2.5, "model dimension must be an integer, got 2.5"),
+    (True, "model dimension must be an integer, got True"),
+])
+def test_clock_shift_norm_gap_takes_what_model_takes(dim, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        clock_shift_norm_gap(dim)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model("clock", dim)
 
 
 def test_quasicentral_never_raises_tracked_norms():

@@ -1,14 +1,18 @@
-"""``matrel check`` and ``matrel approx --procedure loewner`` on mutated
-relation files and assignments whose entries sit at the ends of the
-double range.
+"""``matrel check``, ``matrel approx --procedure loewner`` and ``matrel
+approx --procedure quasicentral --cutoff ramp:1`` on mutated relation
+files and assignments whose entries sit at the ends of the double range.
 
 Whatever the input, the command exits 0, 1, 2 or 3 without an escaping
 exception, prints no ``nan``, explains a usage or parse error in one
 stderr line, and never reports a failing relation with residual 0.
+
+The run draws 80 derandomized cases; set MATREL_FUZZ_EXAMPLES to draw
+more, as CI does once.
 """
 
 import contextlib
 import io
+import os
 import re
 
 import pytest
@@ -71,6 +75,13 @@ FINITE_PRODUCT = [["1.5e154+0i", "0+0i", "0+0i", "1.5e154+0i"],
                   *[["0+0i"] * 4] * 3]
 
 
+# The approx procedures; the smoothed cutoff rescales by the tracked
+# norm bounds and fails with one error line when it cannot.
+PROCEDURES = (("--procedure", "loewner"),
+              ("--procedure", "quasicentral", "--cutoff", "ramp:1"))
+EXAMPLES = int(os.environ.get("MATREL_FUZZ_EXAMPLES", "80"))
+
+
 def _assignment(matrices) -> str:
     text = f"dim 2 vars {len(VARIABLES)}\n"
     for name, (a, b, c, d) in zip(VARIABLES, matrices):
@@ -78,17 +89,19 @@ def _assignment(matrices) -> str:
     return text
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
-@given(relation_texts(), MATRICES, st.booleans())
+@settings(max_examples=EXAMPLES, deadline=None, database=None,
+          derandomize=True)
+@given(relation_texts(), MATRICES, st.booleans(), st.sampled_from(PROCEDURES))
 @example("var x hermitian;\nvar y hermitian;\nrel x y >= 0;\nrel x y <= x;\n",
-         FINITE_PRODUCT, True)
-def test_mutated_inputs_exit_cleanly(tmp_path_factory, text, matrices, check):
+         FINITE_PRODUCT, True, PROCEDURES[0])
+def test_mutated_inputs_exit_cleanly(tmp_path_factory, text, matrices, check,
+                                     procedure):
     work = tmp_path_factory.mktemp("fuzz")
     (work / "a.rel").write_text(text)
     (work / "a.mat").write_text(_assignment(matrices))
     files = [str(work / "a.rel"), str(work / "a.mat")]
     argv = (["check", *files] if check else
-            ["approx", *files, "--procedure", "loewner", "--schedule", "1,2"])
+            ["approx", *files, *procedure, "--schedule", "1,2"])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)

@@ -162,6 +162,17 @@ def test_parse_error_carries_offset():
     assert "offset" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text", ["x^0", "x^(0/3)", "(x)^0", "(x x)^(0/2)", "y (x + y)^0"])
+def test_zero_exponent_is_a_parse_error_at_its_caret(text):
+    # a group's exponent is checked where a variable's is, before any power
+    at = text.index("^")
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, GEN)
+    assert info.value.pos == at
+    assert str(info.value) == f"exponent 0 must be positive (at offset {at})"
+
+
 def test_zero_literal_only_constant_allowed():
     assert parse_poly("0", GEN).monomials == ()
     with pytest.raises(ConstantTermError):

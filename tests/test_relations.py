@@ -131,6 +131,24 @@ def test_residual_norm_bound_and_strictness():
         NormBound(p, -1.0)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_norm_bound_rejects_nan(strict):
+    # NaN compares false both ways; a NaN bound would give margin nan
+    p = parse_poly("x", {"x": Variable("x", "general")})
+    with pytest.raises(ValueError, match="norm bound must be"):
+        NormBound(p, float("nan"), strict=strict)
+
+
+@pytest.mark.parametrize("poly", ["x^0", "(x)^0", "(x x)^(0/2)"])
+def test_zero_exponent_in_a_relation_file_points_at_its_caret(poly):
+    text = f"var x;\nrel {poly} = 0;\n"
+    at = text.index("^")
+    with pytest.raises(ParseError) as info:
+        parse_relations(text)
+    assert info.value.pos == at
+    assert str(info.value) == f"exponent 0 must be positive (at offset {at})"
+
+
 def test_residual_operator_order():
     x = Variable("x", "hermitian")
     y = Variable("y", "hermitian")

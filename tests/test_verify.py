@@ -341,6 +341,18 @@ def test_clock_shift_pair_against_soft_torus_file():
         assert not check_all(tight, pair).satisfied
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
+def test_soft_torus_relations_rejects_a_bound_it_cannot_write(eps):
+    message = f"a commutator bound must be finite and nonnegative, got {eps!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        soft_torus_relations(eps)
+
+
+def test_soft_torus_relations_writes_negative_zero_as_zero():
+    _, rels = parse_relations(soft_torus_relations(-0.0))
+    assert rels[-1].bound == 0.0
+
+
 def test_report_json_and_file_output(tmp_path):
     rep = ExperimentReport(id="demo", params={"dim": 2}, samples=3,
                            max_violation=0.5, worst_seed={"seed": 1},
