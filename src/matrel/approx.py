@@ -289,27 +289,24 @@ def _tracked_norm(b: NormBound, a: Assignment,
 
 
 class StarStrongProbe:
-    """A finite family of unit vectors measuring *-strong closeness."""
+    """A finite family of unit vectors measuring *-strong closeness,
+    kept as the rows of one read-only (K, d) array."""
 
     def __init__(self, vectors):
-        vecs = []
-        dim = None
+        rows = []
         for v in vectors:
             arr = np.asarray(v, dtype=complex).reshape(-1)
-            if dim is None:
-                dim = arr.size
-            elif arr.size != dim:
+            if rows and arr.size != rows[0].size:
                 raise ValueError("probe vectors must share one dimension")
             norm = float(np.linalg.norm(arr))
             if abs(norm - 1.0) > 1e-12:
                 raise ValueError(f"probe vectors must be unit, got norm {norm}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            vecs.append(arr)
-        if not vecs:
+            rows.append(arr)
+        if not rows:
             raise ValueError("a probe needs at least one vector")
-        self.vectors = tuple(vecs)
-        self.dim = dim
+        self.vectors = np.array(rows)
+        self.vectors.setflags(write=False)
+        self.dim = rows[0].size
 
     @classmethod
     def coordinates(cls, dim: int, indices) -> "StarStrongProbe":
@@ -332,12 +329,10 @@ class StarStrongProbe:
         if not 1 <= k <= dim:
             raise ValueError(f"support {k} is outside [1, {dim}]")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        vecs = []
-        for _ in range(count):
-            v = np.zeros(dim, dtype=complex)
+        vecs = np.zeros((count, dim), dtype=complex)
+        for v in vecs:
             raw = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             v[:k] = raw / np.linalg.norm(raw)
-            vecs.append(v)
         return cls(vecs)
 
 
@@ -346,20 +341,20 @@ def star_strong_residual(approximant: Assignment, original: Assignment,
     """Worst probe-vector defect of b against a, counting adjoints too.
 
     max over variables v and probe vectors xi of
-    max(||(b_v - a_v) xi||, ||(b_v - a_v)* xi||).
+    max(||(b_v - a_v) xi||, ||(b_v - a_v)* xi||): the column norms of
+    (b_v - a_v) P^T and the row norms of conj(P) (b_v - a_v), P = vectors.
     """
     if set(approximant.names()) != set(original.names()):
         raise ValueError("assignments have different variable sets")
     if approximant.dim != original.dim or probe.dim != original.dim:
         raise ValueError("probe and assignments must share one dimension")
+    p = probe.vectors
     worst = 0.0
     for name in original.names():
         diff = approximant[name] - original[name]
-        diff_star = matcalc.adjoint(diff)
-        for xi in probe.vectors:
-            worst = max(worst,
-                        float(np.linalg.norm(diff @ xi)),
-                        float(np.linalg.norm(diff_star @ xi)))
+        worst = max(worst,
+                    float(np.linalg.norm(diff @ p.T, axis=0).max()),
+                    float(np.linalg.norm(p.conj() @ diff, axis=1).max()))
     return worst
 
 

@@ -27,7 +27,7 @@ from . import matcalc, verify
 from .approx import CompressionSchedule, residual_curves, write_residual_csv
 from .matcalc import TolerancePolicy
 from .ncpoly import ParseError
-from .relations import check_all, describe, load_assignment, load_relations
+from .relations import check_all, describe, parse_assignment, parse_relations
 from .verify import ExperimentReport, write_reports
 
 MAX_DIM = 512
@@ -135,8 +135,8 @@ def _policy(args: argparse.Namespace) -> TolerancePolicy:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _, relations = load_relations(args.relfile)
-    assignment = load_assignment(args.matfile)
+    _, relations = parse_relations(Path(args.relfile).read_text())
+    assignment = parse_assignment(Path(args.matfile).read_text())
     verdict = check_all(relations, assignment, _policy(args))
     _print_verdict_table(relations, verdict)
     print(("satisfied" if verdict.satisfied else "unsatisfied")
@@ -146,8 +146,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    _, relations = load_relations(args.relfile)
-    assignment = load_assignment(args.matfile)
+    _, relations = parse_relations(Path(args.relfile).read_text())
+    assignment = parse_assignment(Path(args.matfile).read_text())
     schedule = CompressionSchedule.parse(args.schedule, args.cutoff)
     rows = residual_curves(assignment, relations, schedule, args.procedure,
                            _policy(args))

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -468,7 +467,7 @@ def describe(rel: Relation) -> str:
     raise TypeError(f"unknown relation {rel!r}")
 
 
-def format_relations(variables: Mapping[str, Variable] | Iterable[Variable],
+def format_relations(variables: Mapping[str, Variable],
                      relations: Sequence[Relation]) -> str:
     """Canonical relation-file text; parsing it back gives the same
     variables and relations, and printing those gives the same text.
@@ -477,15 +476,11 @@ def format_relations(variables: Mapping[str, Variable] | Iterable[Variable],
     declarations.  Relations with no file syntax (explicit SelfAdjoint
     and friends, Range01) raise ValueError.
     """
-    if isinstance(variables, Mapping):
-        ordered = list(variables.values())
-    else:
-        ordered = list(variables)
     lines = []
-    for v in ordered:
+    for v in variables.values():
         kind = "" if v.kind == "general" else f" {v.kind}"
         lines.append(f"var {v.name}{kind};")
-    pending = side_relations(ordered)
+    pending = side_relations(variables.values())
     for rel in relations:
         if rel in pending:
             pending.remove(rel)
@@ -500,10 +495,6 @@ def _format_relation(rel: Relation) -> str:
             f"{type(rel).__name__} has no explicit file syntax; "
             "declare the variable with the matching kind instead")
     return describe(rel)
-
-
-def load_relations(path) -> tuple[dict[str, Variable], list[Relation]]:
-    return parse_relations(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +622,3 @@ def _format_entry(z: complex) -> str:
     z = complex(z)
     sign = "-" if z.imag < 0 else "+"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-
-
-def load_assignment(path) -> Assignment:
-    return parse_assignment(Path(path).read_text())

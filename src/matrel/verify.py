@@ -152,8 +152,12 @@ class ExperimentReport:
         return self.threshold is None or self.max_violation <= self.threshold
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "passed": self.passed},
-                          sort_keys=True)
+        """One JSON line.  An infinite ``max_violation`` is written as the
+        string "inf" or "-inf"; any other non-finite value raises."""
+        record = {**asdict(self), "passed": self.passed}
+        if math.isinf(self.max_violation):
+            record["max_violation"] = str(self.max_violation)
+        return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
 def write_reports(path, reports: Iterable[ExperimentReport]) -> None:

@@ -330,6 +330,81 @@ def test_star_strong_residual_matrix_unit():
     assert star_strong_residual(orig, orig, hit) == 0.0
 
 
+# The probe and residual as they stood before the vectors became the
+# rows of one array, kept as the reference: a random probe drew its
+# vectors one at a time, and the residual took two mat-vecs per vector.
+def _per_vector_random(dim, count, seed, support):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    vecs = []
+    for _ in range(count):
+        v = np.zeros(dim, dtype=complex)
+        raw = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+        v[:support] = raw / np.linalg.norm(raw)
+        vecs.append(v)
+    return vecs
+
+
+def _per_vector_residual(approximant, original, vectors):
+    worst = 0.0
+    for name in original.names():
+        diff = approximant[name] - original[name]
+        diff_star = matcalc.adjoint(diff)
+        for xi in vectors:
+            worst = max(worst,
+                        float(np.linalg.norm(diff @ xi)),
+                        float(np.linalg.norm(diff_star @ xi)))
+    return worst
+
+
+def test_star_strong_probe_is_one_read_only_array():
+    probe = StarStrongProbe.random(5, 3, seed=2, support=4)
+    assert probe.vectors.shape == (3, 5) and len(probe.vectors) == 3
+    assert not probe.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        probe.vectors[0, 0] = 1.0
+    # the caller's array is copied, not kept
+    rows = np.eye(4)[[1, 3]]
+    coords = StarStrongProbe(rows)
+    rows[0, 1] = 0.0
+    assert coords.vectors[0, 1] == 1.0
+    assert np.array_equal(coords.vectors,
+                          StarStrongProbe.coordinates(4, (1, 3)).vectors)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_star_strong_residual_matches_per_vector_loop(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    names = ["x", "y", "z"][:int(rng.integers(1, 4))]
+
+    def draw():
+        shape = (dim, dim)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    original = Assignment({n: draw() for n in names})
+    rank = int(rng.integers(1, dim + 1))
+    approximants = (Assignment({n: draw() for n in names}),
+                    loewner_step(original, rank), original)
+    support = int(rng.integers(1, dim + 1))
+    count = int(rng.integers(1, 6))
+    vectors = _per_vector_random(dim, count, seed, support)
+    random_probe = StarStrongProbe.random(dim, count, seed, support=support)
+    assert np.array_equal(random_probe.vectors, np.array(vectors))
+    indices = list(rng.choice(dim, size=int(rng.integers(1, dim + 1)),
+                              replace=False))
+    probes = ((random_probe, vectors),
+              (StarStrongProbe.coordinates(dim, indices),
+               list(np.eye(dim)[indices])))
+    for approximant in approximants:
+        for probe, vecs in probes:
+            got = star_strong_residual(approximant, original, probe)
+            want = _per_vector_residual(approximant, original, vecs)
+            if want == 0.0:
+                assert got == 0.0
+            else:
+                assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 def test_banded_models_vanish_under_wide_enough_truncation():
     dim = 64
     probe = StarStrongProbe.coordinates(dim, range(16))

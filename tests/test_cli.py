@@ -353,6 +353,41 @@ def test_experiment_writes_jsonl(tmp_path, capsys):
     assert data["samples"] == 20
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON, which has no Infinity, -Infinity or NaN."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args, rel_text, violation", [
+    # no ratio at d = 1 is non-degenerate, so nothing beats -inf
+    (["commutator", "--seed", "1", "--dim", "1", "--budget", "5"], None,
+     "-inf"),
+    # ||x^4000|| overflows
+    (["positivity", "--seed", "1", "--dim", "2", "--count", "2"],
+     "var x positive;\nrel norm(x^4000) <= 1;\n", "inf"),
+], ids=["commutator-d1", "positivity-overflow"])
+def test_experiment_jsonl_writes_infinite_violation_as_string(
+        tmp_path, capsys, args, rel_text, violation):
+    out = tmp_path / "rep.jsonl"
+    rel = [] if rel_text is None else [_write(tmp_path, "big.rel", rel_text)]
+    main(["experiment", args[0], *rel, *args[1:], "--out", str(out)])
+    data = _strict_json(out.read_text())
+    assert data["max_violation"] == violation
+    assert f"max_violation={violation} " in capsys.readouterr().out
+
+
+def test_report_json_refuses_other_non_finite_values():
+    rep = verify.ExperimentReport("x", {}, 1, 0.0, {}, 1.0,
+                                  stats={"ratio": float("nan")})
+    with pytest.raises(ValueError):
+        rep.to_json()
+    nan = verify.ExperimentReport("x", {}, 1, float("nan"), {}, 1.0)
+    with pytest.raises(ValueError):
+        nan.to_json()
+
+
 
 # Each experiment name's flags for a small run at seed 5, and the direct
 # call that the run must equal.

@@ -1,10 +1,14 @@
 """``matrel check``, ``matrel approx --procedure loewner`` and ``matrel
 approx --procedure quasicentral --cutoff ramp:1`` on mutated relation
-files and assignments whose entries sit at the ends of the double range.
+files.  ``check`` and ``loewner`` get assignments whose entries sit at
+the ends of the double range.  ``quasicentral`` gets moderate entries
+and one more tracked norm bound, kept unmutated, so that most of its
+cases reach the rescaled steps instead of an error.
 
 Whatever the input, the command exits 0, 1, 2 or 3 without an escaping
 exception, prints no ``nan``, explains a usage or parse error in one
-stderr line, and never reports a failing relation with residual 0.
+stderr line, never reports a failing relation with residual 0, and
+prints no alpha outside [0, 1].
 
 The run draws 80 derandomized cases; set MATREL_FUZZ_EXAMPLES to draw
 more, as CI does once.
@@ -45,6 +49,11 @@ TOKENS = ("", " ", "\n", ";", "(", ")", "^", "^(1/2)", "*", "+", "-", "<",
 ENTRIES = ("0+0i", "1e308+0i", "-1e308+0i", "1e-320+0i", "1e154+0i",
            "1.5e154+0i", "1e154+1e154i", "1e154-1e154i",
            "1.5e308+1.5e308i", "1.5e308-1.5e308i")
+# Entries with |z| <= 2, whose products stay far from overflow.
+MODERATE = ("0+0i", "1+0i", "-1+0i", "2+0i", "0+1i", "0-2i", "1+1i",
+            "-1-1i", "0.5-1.5i", "1e-320+0i")
+# A norm bound the smoothed cutoff always has to track.
+TRACKED = "rel norm(x y) <= 2;\n"
 
 
 @st.composite
@@ -64,7 +73,8 @@ def relation_texts(draw):
                    for name, kind in zip(VARIABLES, kinds)) + "".join(lines)
 
 
-MATRICES = st.lists(st.lists(st.sampled_from(ENTRIES), min_size=4,
+def matrices_of(entries):
+    return st.lists(st.lists(st.sampled_from(entries), min_size=4,
                              max_size=4),
                     min_size=len(VARIABLES), max_size=len(VARIABLES))
 
@@ -82,6 +92,19 @@ PROCEDURES = (("--procedure", "loewner"),
 EXAMPLES = int(os.environ.get("MATREL_FUZZ_EXAMPLES", "80"))
 
 
+@st.composite
+def cases(draw):
+    """A relation text, the matrices, whether to check and the approx
+    procedure; only the quasi-central arm gets moderate entries and the
+    tracked bound."""
+    check = draw(st.booleans())
+    procedure = draw(st.sampled_from(PROCEDURES))
+    moderate = not check and procedure == PROCEDURES[1]
+    text = draw(relation_texts()) + (TRACKED if moderate else "")
+    entries = MODERATE if moderate else ENTRIES
+    return text, draw(matrices_of(entries)), check, procedure
+
+
 def _assignment(matrices) -> str:
     text = f"dim 2 vars {len(VARIABLES)}\n"
     for name, (a, b, c, d) in zip(VARIABLES, matrices):
@@ -91,11 +114,15 @@ def _assignment(matrices) -> str:
 
 @settings(max_examples=EXAMPLES, deadline=None, database=None,
           derandomize=True)
-@given(relation_texts(), MATRICES, st.booleans(), st.sampled_from(PROCEDURES))
-@example("var x hermitian;\nvar y hermitian;\nrel x y >= 0;\nrel x y <= x;\n",
-         FINITE_PRODUCT, True, PROCEDURES[0])
-def test_mutated_inputs_exit_cleanly(tmp_path_factory, text, matrices, check,
-                                     procedure):
+@given(cases())
+@example(("var x hermitian;\nvar y hermitian;\nrel x y >= 0;\n"
+          "rel x y <= x;\n", FINITE_PRODUCT, True, PROCEDURES[0]))
+# x y = 0, but not on the smoothed corner at rank 2, so alpha is 0 there.
+@example(("var x hermitian;\nvar y;\n" + TRACKED,
+          [["1+0i"] * 4, ["0+0i", "1+0i", "0+0i", "-1+0i"],
+           *[["0+0i"] * 4] * 3], False, PROCEDURES[1]))
+def test_mutated_inputs_exit_cleanly(tmp_path_factory, case):
+    text, matrices, check, procedure = case
     work = tmp_path_factory.mktemp("fuzz")
     (work / "a.rel").write_text(text)
     (work / "a.mat").write_text(_assignment(matrices))
@@ -114,3 +141,6 @@ def test_mutated_inputs_exit_cleanly(tmp_path_factory, text, matrices, check,
         for line in out.splitlines()[1:-1]:
             *_, ok, _, res = line.split()
             assert ok == "yes" or float(res) > 0, line
+    elif status == 0:
+        for line in out.splitlines()[1:-1]:
+            assert 0.0 <= float(line.split()[2]) <= 1.0, line

@@ -5,7 +5,7 @@ assignment).  That slack is an absolute 1e-9 below norm 1, ignores the
 degree of the relation, and widens with any variable of the assignment,
 mentioned or not.  The paper's transfer argument needs a relation
 checked the same way at every scale, so each test asserts the verdict a
-scale-covariant slack gives; ROADMAP item 2 is that rule.  With
+scale-covariant slack gives; ROADMAP item 4 is that rule.  With
 ``xfail_strict`` a case that starts passing fails the run, so the change
 that fixes one also removes its mark.
 """
@@ -32,10 +32,12 @@ def _small_pair(t: float) -> dict[str, np.ndarray]:
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the slack ignores degree; ||x^5|| = 1e15 but the "
+    "ROADMAP item 4: the slack ignores degree; ||x^5|| = 1e15 but the "
     "slack is 1e-6, so rounding fails it with margin -0.174"))
 def test_high_degree_identity_holds_at_large_scale():
-    # y = x^2 makes x^5 - y^2 x vanish in exact arithmetic
+    # The stored y = fl(x x) is off from x^2 by about eps ||x||^2, so
+    # ||x^5 - y^2 x|| is 0.109 even in exact arithmetic on these doubles;
+    # a backward-error slack of tol (||x||^5 + ||y||^2 ||x||) accepts it
     rng = np.random.default_rng(0)
     g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     h = (g + g.conj().T) / 2
@@ -45,7 +47,7 @@ def test_high_degree_identity_holds_at_large_scale():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: below norm 1 the slack is an absolute 1e-9, so "
+    "ROADMAP item 4: below norm 1 the slack is an absolute 1e-9, so "
     "t = 1e-12 passes with margin 9.99e-10"))
 @pytest.mark.parametrize("rel", ["x = 0", "x >= 0"])
 def test_tiny_nonzero_matrix_fails(rel):
@@ -54,7 +56,7 @@ def test_tiny_nonzero_matrix_fails(rel):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: below norm 1 the slack is an absolute 1e-9, so "
+    "ROADMAP item 4: below norm 1 the slack is an absolute 1e-9, so "
     "||xy - yx|| = 2e-14 passes with margin 1e-9"))
 def test_tiny_noncommuting_pair_fails():
     assert not _verdict("var x; var y; rel x y - y x = 0;",
@@ -62,7 +64,7 @@ def test_tiny_noncommuting_pair_fails():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the slack reads y, which the relation does not "
+    "ROADMAP item 4: the slack reads y, which the relation does not "
     "mention, so x = 1e-6 diag(1, -1) passes with margin 9e-6"))
 def test_bystander_variable_does_not_widen_the_slack():
     assert not _verdict("var x; var y; rel x = 0;",
