@@ -206,7 +206,8 @@ class QuasicentralStep:
     ``defects`` maps variable names to ||u m - m u||, the quasi-centrality
     defect of the cutoff at this rank; ``bound_norms`` maps tracked
     relation labels to the polynomial norm after rescaling.
-    ``assignment`` is the full-dimension step.
+    ``assignment`` is the rescaled corner in :func:`_steps`, and
+    :func:`quasicentral_approximation` zero-pads it to the full dimension.
     """
 
     rank: int

@@ -107,11 +107,11 @@ def _quartered_on_nan(f, m: np.ndarray):
     return out
 
 
-# Relative room left between a computed bound and a computed operator
-# norm before the bound is trusted to settle a comparison.  LAPACK's
-# largest singular value and the computed bound are each within about
-# n^2 eps of exact, below 1e-10 at n = 512, so 1e-6 absorbs both
-# roundings at every size this program meets.
+# Relative room a computed bound leaves before it settles a comparison
+# with a computed operator norm: every bound that skips an SVD does so
+# when bound * (1 + BOUND_MARGIN) <= value.  LAPACK's largest singular
+# value and the bound are each within about n^2 eps of exact, below
+# 1e-10 at n = 512, so 1e-6 absorbs both roundings at every size here.
 BOUND_MARGIN = 1e-6
 
 
@@ -159,26 +159,17 @@ def hermitian_defect(m: np.ndarray) -> float:
     return op_norm(m - adjoint(m))
 
 
-def hermitian_defect_bound(m: np.ndarray) -> float:
-    """An upper bound of :func:`hermitian_defect` at a fraction of its cost:
-    the largest absolute row sum of m - m*.
-
-    That difference is skew-Hermitian, so its largest row and column sums
-    agree and bound its operator norm.  Unlike a Frobenius norm, the bound
-    squares nothing, so it cannot underflow to 0 below a nonzero defect.
-    It is inf or NaN when m - m* overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.abs(m - adjoint(m)).sum(axis=-1).max(initial=0.0))
-
-
 def hermitian_excess(m: np.ndarray, slack: float) -> float:
     """:func:`hermitian_defect` of ``m`` when it exceeds ``slack``, else 0.
 
-    A bound at most half the slack leaves room for the rounding of both
-    computations, so it settles the comparison without the SVD.  A NaN
-    bound (m - m* overflowed) settles nothing, and the SVD raises."""
-    if hermitian_defect_bound(m) <= slack / 2:
+    m - m* is skew-Hermitian, so its largest absolute row sum bounds the
+    defect.  The sum squares nothing, so unlike a Frobenius norm it cannot
+    underflow to 0 below a nonzero defect.  When it clears the slack with
+    :data:`BOUND_MARGIN` to spare, no SVD is taken.  An overflowing m - m*
+    settles nothing: its sum is inf or NaN, and the SVD raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.abs(m - adjoint(m)).sum(axis=-1).max(initial=0.0))
+    if bound * (1.0 + BOUND_MARGIN) <= slack:
         return 0.0
     defect = hermitian_defect(m)
     return defect if defect > slack else 0.0

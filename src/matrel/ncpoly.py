@@ -213,15 +213,11 @@ class NcPolynomial:
             terms = [(m.coeff * n.coeff, m.word + n.word)
                      for m in self.monomials for n in other.monomials]
             return NcPolynomial.from_terms(self.variables, terms)
-        return self._scaled(other)
-
-    def __rmul__(self, scalar) -> "NcPolynomial":
-        return self._scaled(scalar)
-
-    def _scaled(self, scalar) -> "NcPolynomial":
-        c = complex(scalar)
+        c = complex(other)
         return NcPolynomial.from_terms(
             self.variables, [(c * m.coeff, m.word) for m in self.monomials])
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "NcPolynomial":
         if not isinstance(n, int) or n < 1:
@@ -331,15 +327,15 @@ class Assignment:
         """max(1, :meth:`max_norm`), bit for bit: the one norm that
         :meth:`~matrel.matcalc.TolerancePolicy.slack` is given.  Variables
         are visited by decreasing :func:`~matrel.matcalc.op_norm_bound`,
-        and once a bound, with its margin, is below the running value, no
-        norm left can raise it, so none is taken.  A norm that overflows
+        and once a bound, with its margin, is at most the running value,
+        no norm left can raise it, so none is taken.  A norm that overflows
         scales no slack, and raises :class:`~matrel.matcalc.NonFiniteError`."""
         def make() -> float:
             scale = 1.0
             bounds = sorted(((matcalc.op_norm_bound(m), name)
                              for name, m in self._store.items()), reverse=True)
             for bound, name in bounds:
-                if bound * (1.0 + matcalc.BOUND_MARGIN) < scale:
+                if bound * (1.0 + matcalc.BOUND_MARGIN) <= scale:
                     break
                 scale = max(scale, self.op_norm(name))
             if math.isinf(scale):

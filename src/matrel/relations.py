@@ -485,16 +485,12 @@ def format_relations(variables: Mapping[str, Variable],
         if rel in pending:
             pending.remove(rel)
             continue
-        lines.append(f"rel {_format_relation(rel)};")
+        if isinstance(rel, (*_KIND_RELATIONS.values(), Range01)):
+            raise ValueError(
+                f"{type(rel).__name__} has no explicit file syntax; "
+                "declare the variable with the matching kind instead")
+        lines.append(f"rel {describe(rel)};")
     return "\n".join(lines) + "\n"
-
-
-def _format_relation(rel: Relation) -> str:
-    if isinstance(rel, (*_KIND_RELATIONS.values(), Range01)):
-        raise ValueError(
-            f"{type(rel).__name__} has no explicit file syntax; "
-            "declare the variable with the matching kind instead")
-    return describe(rel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ code and print the lines that changed.
 
     python tests/golden/regen.py NAME
 
-NAME is a file name in this directory, such as ``torus8-check.txt``;
-``--list`` prints them all.  Commit the new file only when the output
-moved on purpose, and say why each changed line moved.
+NAME is a file name in this directory, such as ``torus8-check.txt``.
+Commit the new file only when the output moved on purpose, and say why
+each changed line moved.
 """
 
 import difflib
@@ -20,11 +20,8 @@ from test_golden import PRODUCERS  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--list"]:
-        print("\n".join(PRODUCERS))
-        return 0
     if len(argv) != 1 or argv[0] not in PRODUCERS:
-        print(f"usage: regen.py NAME | --list; NAME is one of: "
+        print(f"usage: regen.py NAME; NAME is one of: "
               f"{', '.join(PRODUCERS)}", file=sys.stderr)
         return 2
     name = argv[0]

@@ -3,7 +3,10 @@ approx --procedure quasicentral --cutoff ramp:1`` on mutated relation
 files.  ``check`` and ``loewner`` get assignments whose entries sit at
 the ends of the double range.  ``quasicentral`` gets moderate entries
 and one more tracked norm bound, kept unmutated, so that most of its
-cases reach the rescaled steps instead of an error.
+cases reach the rescaled steps instead of an error.  Half of the
+``check`` cases instead get samples of each variable's kind and an
+unmutated file that every such sample satisfies, and must exit 0 with
+``yes`` on every row.
 
 Whatever the input, the command exits 0, 1, 2 or 3 without an escaping
 exception, prints no ``nan``, explains a usage or parse error in one
@@ -19,12 +22,16 @@ import io
 import os
 import re
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from matrel import verify
 from matrel.cli import main
+from matrel.ncpoly import Assignment
+from matrel.relations import format_assignment
 
 VARIABLES = ("x", "y", "u", "p", "c")
 # The kinds each variable may take; p^(1/2) needs p self-adjoint.
@@ -54,6 +61,20 @@ MODERATE = ("0+0i", "1+0i", "-1+0i", "2+0i", "0+1i", "0-2i", "1+1i",
             "-1-1i", "0.5-1.5i", "1e-320+0i")
 # A norm bound the smoothed cutoff always has to track.
 TRACKED = "rel norm(x y) <= 2;\n"
+# Relations that hold for every sample of these kinds, whatever its seed.
+SATISFIED_KINDS = (("hermitian", "positive"), ("", "hermitian", "contraction"),
+                   ("unitary", "contraction"), ("positive",),
+                   ("contraction", "unitary"))
+SATISFIED = ("rel x <= x + p;\n"
+             "rel y* p y >= 0;\n"
+             "rel norm(c u) < 1.5;\n"
+             "rel blockpos(p, p, p);\n"
+             "rel re(u) <= 1;\n"
+             "rel p^(1/2) p^(1/2) - p = 0;\n")
+SAMPLERS = {"": verify.ginibre, "hermitian": verify.hermitian_sample,
+            "positive": verify.positive_sample,
+            "contraction": verify.contraction_sample,
+            "unitary": verify.unitary_sample}
 
 
 @st.composite
@@ -71,6 +92,20 @@ def relation_texts(draw):
                     + lines[k][at + cut:])
     return "".join(f"var {name} {kind};\n"
                    for name, kind in zip(VARIABLES, kinds)) + "".join(lines)
+
+
+@st.composite
+def satisfied_inputs(draw):
+    """Declarations of kinds that keep SATISFIED true, then SATISFIED, and
+    an assignment of d <= 4 drawn from a seed by verify's samplers."""
+    kinds = [draw(st.sampled_from(choices)) for choices in SATISFIED_KINDS]
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = Assignment({name: SAMPLERS[kind](rng, dim)
+                    for name, kind in zip(VARIABLES, kinds)})
+    text = "".join(f"var {name} {kind};\n"
+                   for name, kind in zip(VARIABLES, kinds)) + SATISFIED
+    return text, format_assignment(a)
 
 
 def matrices_of(entries):
@@ -94,15 +129,19 @@ EXAMPLES = int(os.environ.get("MATREL_FUZZ_EXAMPLES", "80"))
 
 @st.composite
 def cases(draw):
-    """A relation text, the matrices, whether to check and the approx
-    procedure; only the quasi-central arm gets moderate entries and the
-    tracked bound."""
+    """A relation text, the assignment text, whether to check, the approx
+    procedure and whether every relation must hold.  Half of the check
+    cases are satisfied inputs; only the quasi-central arm gets moderate
+    entries and the tracked bound."""
     check = draw(st.booleans())
     procedure = draw(st.sampled_from(PROCEDURES))
+    if check and draw(st.booleans()):
+        return (*draw(satisfied_inputs()), check, procedure, True)
     moderate = not check and procedure == PROCEDURES[1]
     text = draw(relation_texts()) + (TRACKED if moderate else "")
     entries = MODERATE if moderate else ENTRIES
-    return text, draw(matrices_of(entries)), check, procedure
+    return (text, _assignment(draw(matrices_of(entries))), check, procedure,
+            False)
 
 
 def _assignment(matrices) -> str:
@@ -116,16 +155,17 @@ def _assignment(matrices) -> str:
           derandomize=True)
 @given(cases())
 @example(("var x hermitian;\nvar y hermitian;\nrel x y >= 0;\n"
-          "rel x y <= x;\n", FINITE_PRODUCT, True, PROCEDURES[0]))
+          "rel x y <= x;\n", _assignment(FINITE_PRODUCT), True,
+          PROCEDURES[0], False))
 # x y = 0, but not on the smoothed corner at rank 2, so alpha is 0 there.
 @example(("var x hermitian;\nvar y;\n" + TRACKED,
-          [["1+0i"] * 4, ["0+0i", "1+0i", "0+0i", "-1+0i"],
-           *[["0+0i"] * 4] * 3], False, PROCEDURES[1]))
+          _assignment([["1+0i"] * 4, ["0+0i", "1+0i", "0+0i", "-1+0i"],
+                       *[["0+0i"] * 4] * 3]), False, PROCEDURES[1], False))
 def test_mutated_inputs_exit_cleanly(tmp_path_factory, case):
-    text, matrices, check, procedure = case
+    text, assignment, check, procedure, satisfied = case
     work = tmp_path_factory.mktemp("fuzz")
     (work / "a.rel").write_text(text)
-    (work / "a.mat").write_text(_assignment(matrices))
+    (work / "a.mat").write_text(assignment)
     files = [str(work / "a.rel"), str(work / "a.mat")]
     argv = (["check", *files] if check else
             ["approx", *files, *procedure, "--schedule", "1,2"])
@@ -134,13 +174,14 @@ def test_mutated_inputs_exit_cleanly(tmp_path_factory, case):
         status = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert status in (0, 1, 2, 3)
+    assert status == 0 or not satisfied, (status, out, err)
     assert not re.search(r"\bnan\b", out), out
     if status in (2, 3):
         assert len(err.splitlines()) == 1, err
     elif check:
         for line in out.splitlines()[1:-1]:
             *_, ok, _, res = line.split()
-            assert ok == "yes" or float(res) > 0, line
+            assert ok == "yes" or (not satisfied and float(res) > 0), line
     elif status == 0:
         for line in out.splitlines()[1:-1]:
             assert 0.0 <= float(line.split()[2]) <= 1.0, line

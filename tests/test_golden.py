@@ -90,7 +90,7 @@ def _torus(command: tuple[str, ...]):
     return produce
 
 
-# Golden file name -> a function of a scratch directory giving its text.
+# Golden file name -> a function of a temporary directory giving its text.
 PRODUCERS = {
     **{f"demo-{path.stem}.txt": _demo(path)
        for path in sorted(DEMOS.glob("*.py"))},

@@ -223,3 +223,28 @@ def test_every_margin_is_a_number_and_a_pass_is_finite(rel, shape, t):
     assert verdict.margin != math.inf
     if verdict.satisfied:
         assert math.isfinite(verdict.margin)
+
+
+# Norm 1e308, so the slack scales, but x - x* overflows.
+SKEW = "x\n0+0i 1e308+0i\n-1e308+0i 0+0i\n"
+
+
+def test_an_overflowing_skew_part_fails_every_hermitian_check(
+        tmp_path, capsys):
+    a = Assignment({"x": np.array([[0.0, 1e308], [-1e308, 0.0]])})
+    assert a.scale() == 1e308
+    for rel in (Positive("x"), Range01("x"), PolyPositive(_P),
+                BlockPositive(_P, _P, _P), SelfAdjoint("x")):
+        verdict = residual(rel, a)
+        assert verdict.margin == -math.inf, rel
+        assert verdict.detail == "evaluation overflowed to non-finite entries"
+    status, out = _check(
+        tmp_path, capsys,
+        "var x hermitian;\nrel x >= 0;\nrel x <= 2 x;\n"
+        "rel blockpos(x, x, x);\n",
+        SKEW, 1)
+    assert status == 1
+    assert "nan" not in out
+    rows = _rows(out)
+    assert len(rows) == 4  # x hermitian too
+    assert all(row == ["NO", "-inf", "inf"] for row in rows.values())

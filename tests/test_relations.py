@@ -243,7 +243,7 @@ def _skew_rank_one(t, direction):
 def test_defect_shortcut_gives_the_svd_verdict(monkeypatch, factor):
     # The slack is tol_eq, since the assignment's norm is below 1.  Along
     # a basis vector the row-sum bound equals the defect, so the SVD is
-    # skipped up to half the slack; along a spread vector it is not.
+    # skipped below the slack; along a spread vector it is not.
     rng = np.random.default_rng(11)
     spread = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     vs = {"x": Variable("x", "general")}
@@ -268,14 +268,14 @@ def test_defect_shortcut_gives_the_svd_verdict(monkeypatch, factor):
         fast, power = outcomes(a)
         skipped = not svd_calls
         with monkeypatch.context() as patch:
-            patch.setattr(matcalc, "hermitian_defect_bound", lambda m: np.inf)
+            patch.setattr(matcalc, "BOUND_MARGIN", np.inf)
             assert outcomes(a) == (fast, power)
         for v in fast:
             assert v.satisfied is (factor < 1)
             assert v.detail.startswith("not self-adjoint") is (factor > 1)
         assert isinstance(power, str) is (factor > 1)
         if direction[0] == 1:
-            assert skipped is (factor <= 0.5)
+            assert skipped is (factor < 1)
 
 
 def test_defect_shortcut_does_not_underflow():
