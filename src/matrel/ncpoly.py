@@ -151,6 +151,23 @@ def _canonical_word(word, kinds: Mapping[str, str]) -> tuple[Factor, ...]:
     return tuple((n, s, e) for n, s, e in out)
 
 
+# The most factors a product of polynomials may expand to before its
+# like terms merge.  Without it a short text such as (x + y)^30 or
+# (x y)^2000 takes minutes or all memory to expand; at the bound the
+# slowest power, (x y)^500, parses in about a second.
+MAX_EXPANSION = 1000
+
+
+def _factors(p: NcPolynomial) -> int:
+    return sum(len(m.word) for m in p.monomials)
+
+
+def _check_expansion(factors: int) -> None:
+    if factors > MAX_EXPANSION:
+        raise PolyError(f"a product expands to more than {MAX_EXPANSION} "
+                        "factors")
+
+
 @dataclass(frozen=True)
 class NcPolynomial:
     """Canonical noncommutative *-polynomial.
@@ -210,6 +227,8 @@ class NcPolynomial:
     def __mul__(self, other) -> "NcPolynomial":
         if isinstance(other, NcPolynomial):
             self._check_compatible(other)
+            _check_expansion(len(self.monomials) * _factors(other)
+                             + len(other.monomials) * _factors(self))
             terms = [(m.coeff * n.coeff, m.word + n.word)
                      for m in self.monomials for n in other.monomials]
             return NcPolynomial.from_terms(self.variables, terms)
@@ -222,6 +241,12 @@ class NcPolynomial:
     def __pow__(self, n: int) -> "NcPolynomial":
         if not isinstance(n, int) or n < 1:
             raise ExponentError("polynomial powers must be positive integers")
+        # p^n expands to n |p|^(n-1) factors for each factor of p.  The
+        # loop alone takes n steps, and bounding n first keeps |p|^(n-1)
+        # a small integer.
+        size = max(_factors(self), 1)
+        _check_expansion(n * size)
+        _check_expansion(n * len(self.monomials) ** (n - 1) * size)
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -415,6 +440,7 @@ class Token:
     kind: str      # "num", "imag", "ident", "op", "end"
     value: object  # float, float, str, str, None
     pos: int
+    text: str      # as written in the source; "" at the end
 
 
 _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -448,9 +474,9 @@ def tokenize(text: str) -> list[Token]:
             if math.isinf(value) or (value == 0.0 and mantissa.strip("0.")):
                 raise ParseError(f"number {literal!r} is out of range", i)
         if kind != "space":
-            tokens.append(Token(kind, value, i))
+            tokens.append(Token(kind, value, i, m.group()))
         i = m.end()
-    tokens.append(Token("end", None, len(text)))
+    tokens.append(Token("end", None, len(text), ""))
     return tokens
 
 
@@ -489,9 +515,7 @@ class TokenStream:
 
 
 def _describe(tok: Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    return repr(str(tok.value) if tok.kind != "op" else tok.value)
+    return "end of input" if tok.kind == "end" else repr(tok.text)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +595,8 @@ def _parse_scalar(stream: TokenStream):
 
 
 def _parse_factor(stream: TokenStream, variables) -> NcPolynomial:
+    """A variable or a parenthesized expression, with its stars and
+    exponent; :func:`_parse_term` calls it only at one of the two."""
     kinds = {v.name: v.kind for v in _as_variables(variables)}
     tok = stream.peek()
     if tok.kind == "ident":
@@ -598,24 +624,21 @@ def _parse_factor(stream: TokenStream, variables) -> NcPolynomial:
             return NcPolynomial.from_terms(variables, [(1.0, word)])
         except ExponentError as err:
             raise ParseError(str(err), tok.pos) from None
-    if stream.at_op("("):
-        stream.next()
-        inner = parse_expr(stream, variables)
-        stream.take_op(")")
-        while stream.at_op("*", "^"):
-            op = stream.next()
-            if op.value == "*":
-                inner = inner.adjoint()
-            else:
-                e = _parse_rational(stream, op.pos)
-                if e.denominator != 1:
-                    raise ParseError(
-                        "fractional exponents apply to single variables only",
-                        op.pos)
-                inner = inner ** int(e)
-        return inner
-    raise ParseError(
-        f"expected a variable or '(', found {_describe(tok)}", tok.pos)
+    stream.take_op("(")
+    inner = parse_expr(stream, variables)
+    stream.take_op(")")
+    while stream.at_op("*", "^"):
+        op = stream.next()
+        if op.value == "*":
+            inner = inner.adjoint()
+        else:
+            e = _parse_rational(stream, op.pos)
+            if e.denominator != 1:
+                raise ParseError(
+                    "fractional exponents apply to single variables only",
+                    op.pos)
+            inner = inner ** int(e)
+    return inner
 
 
 def _parse_rational(stream: TokenStream, pos: int) -> Fraction:

@@ -373,7 +373,7 @@ def parse_relations(text: str) -> tuple[dict[str, Variable], list[Relation]]:
     tail = stream.peek()
     if tail.kind != "end":
         raise ParseError(
-            f"expected 'rel' or end of file, found {tail.value!r}", tail.pos)
+            f"expected 'rel' or end of file, found {_describe(tail)}", tail.pos)
     return variables, relations
 
 

@@ -328,6 +328,16 @@ def test_star_strong_residual_matrix_unit():
     assert star_strong_residual(trunc, orig, hit) == 1.0
     assert star_strong_residual(trunc, orig, miss) == 0.0
     assert star_strong_residual(orig, orig, hit) == 0.0
+    # the two assignments and the probe must agree on names and dimension
+    other = Assignment({"y": np.zeros((3, 3))})
+    with pytest.raises(ValueError, match="^assignments have different "
+                                         "variable sets$"):
+        star_strong_residual(other, orig, hit)
+    for b, probe in ((Assignment({"x": np.zeros((2, 2))}), hit),
+                     (trunc, StarStrongProbe.coordinates(2, (1,)))):
+        with pytest.raises(ValueError, match="^probe and assignments must "
+                                             "share one dimension$"):
+            star_strong_residual(b, orig, probe)
 
 
 # The probe and residual as they stood before the vectors became the
@@ -464,6 +474,8 @@ def test_model_validation():
         model("hamster", 4)
     with pytest.raises(ValueError):
         model("diagonal", 4)  # diagonal needs a rule
+    with pytest.raises(ValueError, match="^model 'clock' takes no rule$"):
+        model("clock", 4, rule=abs)
     # no float, bool or string is a dimension, though numpy takes some
     for dim in (2.5, True, 0, "3"):
         with pytest.raises(ValueError, match="model dimension"):

@@ -1,5 +1,6 @@
+import csv
 import json
-import warnings
+import time
 
 import numpy as np
 import pytest
@@ -55,29 +56,66 @@ def test_check_missing_file_exits_three(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.rel"), rel]) == 3
 
 
-def test_check_malformed_input_exits_three(tmp_path, capsys):
-    rel = _write(tmp_path, "bad.rel", "var x\nrel x = 0;\n")
-    mat = _mat_file(tmp_path, "half.mat", {"x": np.array([[0.5]])})
-    assert main(["check", rel, mat]) == 3
-    err = capsys.readouterr().err
-    assert "error" in err.lower()
+HALF = "dim 1 vars 1\nx\n0.5+0i\n"
+
+
+# Malformed files, each of which exits 3 with one line: its message.
+MALFORMED = {
+    "kind-rel": ("var x\nrel x = 0;\n", HALF,
+                 "unknown variable kind 'rel' (at offset 6)"),
     # an exponent that overflows to inf is a malformed file, not a crash
-    for expo in ("1e400", "(1e400/2)"):
-        rel = _write(tmp_path, "huge.rel",
-                     f"var x;\nrel norm(x^{expo}) <= 1;\n")
-        assert main(["check", rel, mat]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("parse error") and err.count("\n") == 1
-    # an assignment with no variables is a malformed file
-    empty = _write(tmp_path, "empty.mat", "dim 2 vars 0\n")
-    assert main(["check", _write(tmp_path, "idem.rel", IDEM), empty]) == 3
-    err = capsys.readouterr().err
-    assert err == "parse error: an assignment needs at least one variable\n"
+    "inf-exponent": ("var x;\nrel norm(x^1e400) <= 1;\n", HALF,
+                     "number '1e400' is out of range (at offset 18)"),
+    "inf-ratio": ("var x;\nrel norm(x^(1e400/2)) <= 1;\n", HALF,
+                  "number '1e400' is out of range (at offset 19)"),
+    "float-ratio": ("var x;\nrel x^(1.5/2) = 0;\n", HALF,
+                    "expected an integer, found '1.5' (at offset 14)"),
+    # numbers are quoted as written, not as the float they parse to
+    "number-name": ("var 1x;\n", HALF,
+                    "expected a name, found '1' (at offset 4)"),
+    "imag-name": ("var 2i;\n", HALF,
+                  "expected a name, found '2i' (at offset 4)"),
+    "two-bounds": ("var x;\nrel norm(x) <= 1 2;\n", HALF,
+                   "expected ';', found '2' (at offset 24)"),
+    "no-relation": ("var x;\nrel x;\n", HALF,
+                    "expected '=', '>=' or '<=', found ';' (at offset 12)"),
+    "name-bound": ("var x;\nrel norm(x) <= y;\n", HALF,
+                   "expected a number, found 'y' (at offset 22)"),
+    "undeclared-re": ("var x;\nrel re(y) <= 1;\n", HALF,
+                      "unknown variable 'y' (at offset 14)"),
+    "empty-mat": (IDEM, "", "empty assignment file"),
+    "dim-0": (IDEM, "dim 0 vars 1\n",
+              "assignment dimension must be at least 1"),
+    "vars-0": (IDEM, "dim 2 vars 0\n",
+               "an assignment needs at least one variable"),
     # a superscript digit is not a decimal digit
-    sup = _write(tmp_path, "sup.mat", "dim \u00b2 vars 1\nx\n1+0i\n")
-    assert main(["check", _write(tmp_path, "idem.rel", IDEM), sup]) == 3
-    err = capsys.readouterr().err
-    assert err == "parse error: bad assignment header 'dim \u00b2 vars 1'\n"
+    "superscript": (IDEM, "dim \u00b2 vars 1\nx\n1+0i\n",
+                    "bad assignment header 'dim \u00b2 vars 1'"),
+    "bad-name-line": (IDEM, "dim 1 vars 1\n1x\n1+0i\n",
+                      "bad variable name line '1x'"),
+    "name-twice": (IDEM, "dim 1 vars 2\nx\n1+0i\nx\n1+0i\n",
+                   "variable 'x' appears twice"),
+    # products past the expansion bound, refused before they are built
+    **{name: (f"var x;\nvar y;\nrel {expression} = 0;\n", HALF,
+              "a product expands to more than 1000 factors (at offset 14)")
+       for name, expression in {"huge-power": "(x)^99999999999999999999",
+                                "long-word": "(x y)^2000",
+                                "sum-power": "(x + y)^12",
+                                "sum-chain": "(x + y) " * 30}.items()},
+}
+
+
+@pytest.mark.parametrize("rel_text, mat_text, message", MALFORMED.values(),
+                         ids=MALFORMED)
+def test_check_malformed_input_exits_three(tmp_path, capsys, rel_text,
+                                           mat_text, message):
+    rel = _write(tmp_path, "bad.rel", rel_text)
+    mat = _write(tmp_path, "bad.mat", mat_text)
+    start = time.perf_counter()
+    assert main(["check", rel, mat]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["check", "approx"])
@@ -241,9 +279,7 @@ def test_check_overflow_is_a_failing_verdict(tmp_path, capsys):
     rel = _write(tmp_path, "big.rel",
                  "var x hermitian;\nrel norm(x^4000) <= 1;\n")
     mat = _mat_file(tmp_path, "two.mat", {"x": np.array([[2.0]])})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["check", rel, mat]) == 1
+    assert main(["check", rel, mat]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "-inf" in captured.out and "unsatisfied" in captured.out
@@ -290,17 +326,15 @@ def test_a_tracked_bound_that_cannot_be_measured_exits_two(
     rel = _write(tmp_path, "bound.rel", text)
     mat = _mat_file(tmp_path, "bound.mat", mats)
     argv = ["approx", rel, mat, "--schedule", "1,2"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--procedure", "quasicentral",
-                            "--cutoff", "ramp:1"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: cannot track {reason}")
-        assert err.count("\n") == 1
-        # check and loewner measure no tracked norm: a failing verdict,
-        # and residual rows of inf
-        assert main(["check", rel, mat]) == 1
-        assert main(argv + ["--procedure", "loewner"]) == 0
+    assert main(argv + ["--procedure", "quasicentral",
+                        "--cutoff", "ramp:1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot track {reason}")
+    assert err.count("\n") == 1
+    # check and loewner measure no tracked norm: a failing verdict, and
+    # residual rows of inf
+    assert main(["check", rel, mat]) == 1
+    assert main(argv + ["--procedure", "loewner"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and "final rank 2: worst residual inf" in out
 
@@ -309,17 +343,14 @@ def test_approx_takes_a_rank_or_width_no_float_holds(tmp_path, capsys):
     # ||uv - vu|| = 2 sin(pi/8) is within the bound, so full rank holds
     rel, mat = _torus_files(tmp_path, dim=8, bound=1.0)
     huge = "9" * 401
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for procedure, cutoff in (("loewner", "sharp"),
-                                  ("quasicentral", "ramp:4")):
-            assert main(["approx", rel, mat, "--procedure", procedure,
-                         "--cutoff", cutoff, "--schedule", f"4,{huge}"]) == 0
-            out = capsys.readouterr().out
-            # the rank is printed as given, and the cut is the identity
-            assert f"final rank {huge}: worst residual 0.000000e+00" in out
-        assert main(["approx", rel, mat, "--procedure", "quasicentral",
-                     "--cutoff", f"ramp:{huge}", "--schedule", "4,8"]) == 2
+    for procedure, cutoff in (("loewner", "sharp"), ("quasicentral", "ramp:4")):
+        assert main(["approx", rel, mat, "--procedure", procedure,
+                     "--cutoff", cutoff, "--schedule", f"4,{huge}"]) == 0
+        out = capsys.readouterr().out
+        # the rank is printed as given, and the cut is the identity
+        assert f"final rank {huge}: worst residual 0.000000e+00" in out
+    assert main(["approx", rel, mat, "--procedure", "quasicentral",
+                 "--cutoff", f"ramp:{huge}", "--schedule", "4,8"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: a cutoff width must be at most")
 
@@ -339,6 +370,18 @@ def test_approx_table_and_csv(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "final rank 8" in stdout
+    # a cut corner below d = 8 has a zero column, so its unitarity defect
+    # is exactly 1 and its residual 1 - 1e-9, one double on every host
+    rel, mat = _torus_files(tmp_path, dim=8, bound=1.0)
+    for procedure, cutoff in (("loewner", "sharp"), ("quasicentral", "ramp:2")):
+        assert main(["approx", rel, mat, "--procedure", procedure,
+                     "--cutoff", cutoff, "--schedule", "2,7,8,9",
+                     "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["relation"].endswith(" unitary")
+                    and r["rank"] in ("2", "7")]
+        assert [r["residual"] for r in rows] == ["0.999999999"] * 4
 
 
 def test_experiment_writes_jsonl(tmp_path, capsys):

@@ -88,6 +88,8 @@ def test_fractional_power_integer_any_matrix():
     n = np.array([[0, 1], [0, 0]], dtype=complex)
     assert np.allclose(fractional_power(n, 2), n @ n)
     assert np.allclose(fractional_power(n, 0), np.eye(2))
+    with pytest.raises(ValueError, match="^negative powers are not supported$"):
+        fractional_power(n, -1)
 
 
 def test_fractional_power_rejects_negative_spectrum():

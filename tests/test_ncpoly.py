@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from matrel.ncpoly import (
+    MAX_EXPANSION,
     ConstantTermError,
     ExponentError,
+    NcPolynomial,
     ParseError,
     PolyError,
     UnknownVariableError,
@@ -204,6 +206,25 @@ def test_arithmetic_on_polynomials():
     assert p ** 2 == p * p
     with pytest.raises(PolyError):
         p ** 0
+
+
+def test_products_past_the_expansion_bound_are_refused_unbuilt(monkeypatch):
+    x, xy, s = (parse_poly(t, GEN) for t in ("x", "x y", "x + y"))
+    # within the bound: 1000 factors, and 7 2^6 2 = 896
+    assert x ** MAX_EXPANSION == parse_poly(f"x^{MAX_EXPANSION}", GEN)
+    s7 = s ** 7
+    assert len(s7.monomials) == 2 ** 7
+
+    def build(*args):
+        raise AssertionError("a refused product was built")
+    monkeypatch.setattr(NcPolynomial, "from_terms", build)
+    for refused in (lambda: x ** (MAX_EXPANSION + 1), lambda: x ** 10 ** 20,
+                    lambda: xy ** 501, lambda: s ** 8, lambda: s ** 10 ** 20,
+                    lambda: s7 * s, lambda: s * s7,
+                    lambda: NcPolynomial.zero(GEN) ** 10 ** 20):
+        with pytest.raises(PolyError, match="^a product expands to more "
+                                            "than 1000 factors$"):
+            refused()
 
 
 def test_homogeneity():

@@ -38,27 +38,27 @@ def _branch_tokenize(text: str) -> list[Token]:
             if end < n and text[end] == "i" and (
                     end + 1 == n or not (text[end + 1].isalnum()
                                          or text[end + 1] == "_")):
-                tokens.append(Token("imag", value, i))
+                tokens.append(Token("imag", value, i, text[i:end + 1]))
                 i = end + 1
                 continue
-            tokens.append(Token("num", value, i))
+            tokens.append(Token("num", value, i, m.group()))
             i = end
             continue
         m = _IDENT_SCAN_RE.match(text, i)
         if m:
-            tokens.append(Token("ident", m.group(), i))
+            tokens.append(Token("ident", m.group(), i, m.group()))
             i = m.end()
             continue
         if text[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("op", text[i:i + 2], i))
+            tokens.append(Token("op", text[i:i + 2], i, text[i:i + 2]))
             i += 2
             continue
         if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, i))
+            tokens.append(Token("op", ch, i, ch))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", None, n))
+    tokens.append(Token("end", None, n, ""))
     return tokens
 
 

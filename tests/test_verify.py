@@ -324,6 +324,7 @@ def test_exponents_outside_their_domain_are_rejected(run, message):
     ("positivity", {"dim": 0, "count": 1},
      "every dimension must be at least 1, got 0"),
     ("positivity", {"count": 0}, "count must be at least 1, got 0"),
+    ("nope", {}, "^unknown experiment 'nope'$"),
 ])
 def test_run_experiment_passes_an_explicit_zero_on(name, sizes, words):
     # 0 is not "unset": it reaches the experiment's own check
