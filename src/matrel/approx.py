@@ -47,7 +47,7 @@ import numpy as np
 from . import matcalc
 from .matcalc import DEFAULT_POLICY, TolerancePolicy
 from .ncpoly import Assignment, homogeneity
-from .relations import NormBound, Relation, describe, residual
+from .relations import NormBound, Relation, describe, residual_value
 
 
 def _index(value, what: str, low: int | None) -> int:
@@ -432,7 +432,9 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
 
     Each residual is computed on the step's leading corner (see
     :func:`_cut`) and agrees with the residual of the
-    full-dimension step to rounding.
+    full-dimension step to rounding.  It is
+    :func:`~matrel.relations.residual_value`, so a row that a cheap
+    bound shows satisfied takes no SVD.
     """
     if not relations:
         raise ValueError(
@@ -453,7 +455,7 @@ def residual_curves(a: Assignment, relations: Sequence[Relation],
             rows.append({
                 "rank": step.rank,
                 "relation": describe(rel),
-                "residual": residual(rel, step.assignment, policy).residual,
+                "residual": residual_value(rel, step.assignment, policy),
                 "alpha": step.alpha,
                 "defect": defect,
             })

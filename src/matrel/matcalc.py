@@ -109,9 +109,11 @@ def _quartered_on_nan(f, m: np.ndarray):
 
 # Relative room a computed bound leaves before it settles a comparison
 # with a computed operator norm: every bound that skips an SVD does so
-# when bound * (1 + BOUND_MARGIN) <= value.  LAPACK's largest singular
-# value and the bound are each within about n^2 eps of exact, below
-# 1e-10 at n = 512, so 1e-6 absorbs both roundings at every size here.
+# when bound * (1 + BOUND_MARGIN) <= value.  Its users are
+# Assignment.scale, hermitian_excess, unitary_defect and
+# relations.residual_value.  LAPACK's largest singular value and the
+# bound are each within about n^2 eps of exact, below 1e-10 at n = 512,
+# so 1e-6 absorbs both roundings at every size here.
 BOUND_MARGIN = 1e-6
 
 

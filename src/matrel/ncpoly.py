@@ -151,10 +151,19 @@ def _canonical_word(word, kinds: Mapping[str, str]) -> tuple[Factor, ...]:
     return tuple((n, s, e) for n, s, e in out)
 
 
+def _join(u: tuple[Factor, ...], v: tuple[Factor, ...]) -> tuple[Factor, ...]:
+    """The canonical word of u v, for canonical words u and v: only u's
+    last factor and v's first can merge, so only the seam is looked at."""
+    if u and v and u[-1][:2] == v[0][:2]:
+        name, star, exp = u[-1]
+        return u[:-1] + ((name, star, exp + v[0][2]),) + v[1:]
+    return u + v
+
+
 # The most factors a product of polynomials may expand to before its
 # like terms merge.  Without it a short text such as (x + y)^30 or
 # (x y)^2000 takes minutes or all memory to expand; at the bound the
-# slowest power, (x y)^500, parses in about a second.
+# slowest products, such as (x + y)^7, parse in about 10 ms.
 MAX_EXPANSION = 1000
 
 
@@ -190,17 +199,35 @@ class NcPolynomial:
         """
         vs = _as_variables(variables)
         kinds = {v.name: v.kind for v in vs}
-        merged: dict[tuple[Factor, ...], complex] = {}
+        canonical = []
         for coeff, word in terms:
             word = _canonical_word(word, kinds)
             if not word:
                 raise ConstantTermError("polynomials have no constant term")
-            merged[word] = merged.get(word, 0) + complex(coeff)
-        for c in merged.values():
+            canonical.append((coeff, word))
+        return cls._collect(vs, canonical)
+
+    @classmethod
+    def _collect(cls, vs: tuple[Variable, ...],
+                 terms: list[tuple[complex, tuple[Factor, ...]]]
+                 ) -> "NcPolynomial":
+        """The polynomial over canonical variables ``vs`` of (coefficient,
+        canonical nonempty word) pairs: like terms merged, zeros dropped,
+        monomials sorted.  One term has nothing to merge with, so its long
+        word is neither hashed nor summed for a sort key."""
+        if len(terms) == 1:
+            pairs = [(word, 0 + complex(coeff)) for coeff, word in terms]
+        else:
+            merged: dict[tuple[Factor, ...], complex] = {}
+            for coeff, word in terms:
+                merged[word] = merged.get(word, 0) + complex(coeff)
+            pairs = merged.items()
+        for _, c in pairs:
             if not cmath.isfinite(c):
                 raise PolyError(f"coefficient {c} is not finite")
-        monos = [Monomial(c, w) for w, c in merged.items() if c != 0]
-        monos.sort(key=lambda m: (-m.degree(), m.word))
+        monos = [Monomial(c, w) for w, c in pairs if c != 0]
+        if len(monos) > 1:
+            monos.sort(key=lambda m: (-m.degree(), m.word))
         return cls(vs, tuple(monos))
 
     @classmethod
@@ -213,8 +240,9 @@ class NcPolynomial:
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         self._check_compatible(other)
-        terms = [(m.coeff, m.word) for m in self.monomials + other.monomials]
-        return NcPolynomial.from_terms(self.variables, terms)
+        return NcPolynomial._collect(
+            self.variables,
+            [(m.coeff, m.word) for m in self.monomials + other.monomials])
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-other)
@@ -229,11 +257,11 @@ class NcPolynomial:
             self._check_compatible(other)
             _check_expansion(len(self.monomials) * _factors(other)
                              + len(other.monomials) * _factors(self))
-            terms = [(m.coeff * n.coeff, m.word + n.word)
+            terms = [(m.coeff * n.coeff, _join(m.word, n.word))
                      for m in self.monomials for n in other.monomials]
-            return NcPolynomial.from_terms(self.variables, terms)
+            return NcPolynomial._collect(self.variables, terms)
         c = complex(other)
-        return NcPolynomial.from_terms(
+        return NcPolynomial._collect(
             self.variables, [(c * m.coeff, m.word) for m in self.monomials])
 
     __rmul__ = __mul__
@@ -369,11 +397,12 @@ class Assignment:
         return self._keep(("scale",), make)
 
     def poly_norm(self, p: NcPolynomial,
-                  policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
-                  ) -> float:
-        """||p(a)||, kept per policy as :meth:`power` is."""
-        return self._keep(("poly_norm", p, policy),
-                          lambda: matcalc.op_norm(evaluate(p, self, policy)))
+                  policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY,
+                  value: np.ndarray | None = None) -> float:
+        """||p(a)||, kept per policy as :meth:`power` is.  ``value``, when
+        given, is p(a) as :func:`evaluate` returns it, already in hand."""
+        return self._keep(("poly_norm", p, policy), lambda: matcalc.op_norm(
+            evaluate(p, self, policy) if value is None else value))
 
     def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """:func:`~matrel.matcalc.spectrum` of ``name``'s matrix, read-only."""

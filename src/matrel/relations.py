@@ -215,18 +215,58 @@ def residual(rel: Relation, a: Assignment,
     So does an evaluation that overflows (``x^4000``, ``exp`` of a large
     real part), and the detail says which of the two it was.  So does a
     fractional power of a matrix that is not Hermitian or not positive,
-    with the error's text as the detail.
+    with the error's text as the detail.  A margin that is NaN fails the
+    same way, with detail "margin is not a number": max(0, -NaN) is 0,
+    so without that no residual could tell it from a satisfied one.
     """
     detail = "an operator norm of the assignment overflowed"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             a.scale()
             detail = "evaluation overflowed to non-finite entries"
-            return _residual(rel, a, policy)
+            verdict = _residual(rel, a, policy)
     except matcalc.NonFiniteError:
         return Verdict(False, -math.inf, detail)
     except (matcalc.NotHermitianError, matcalc.NegativeSpectrumError) as err:
         return Verdict(False, -math.inf, str(err))
+    if math.isnan(verdict.margin):
+        return Verdict(False, -math.inf, "margin is not a number")
+    return verdict
+
+
+def residual_value(rel: Relation, a: Assignment,
+                   policy: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """``residual(rel, a, policy).residual``, bit for bit.
+
+    A satisfied relation's residual is 0.0 whatever its margin.  So a
+    :class:`PolyZero` or :class:`NormBound` whose p(a) has a finite
+    :func:`~matrel.matcalc.op_norm_bound` at most the least threshold its
+    norm is held to, with :data:`~matrel.matcalc.BOUND_MARGIN` to spare,
+    reads 0.0 with no SVD: that threshold is tol_eq, c + tol_eq, or c for
+    a strict bound, as the equality slack is never below tol_eq.  Any
+    other case is :func:`residual`'s, which measures the p(a) evaluated
+    here, or inf where :func:`residual` fails the relation with margin
+    -inf."""
+    match rel:
+        case PolyZero():
+            least = policy.tol_eq
+        case NormBound(bound=c, strict=strict):
+            least = c if strict else c + policy.tol_eq
+        case _:
+            return residual(rel, a, policy).residual
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a.scale()
+            value = evaluate(rel.poly, a, policy)
+            bound = matcalc.op_norm_bound(value)
+            if (math.isfinite(bound)
+                    and bound * (1.0 + matcalc.BOUND_MARGIN) <= least):
+                return 0.0
+            a.poly_norm(rel.poly, policy, value)
+    except (matcalc.NonFiniteError, matcalc.NotHermitianError,
+            matcalc.NegativeSpectrumError):
+        return math.inf  # residual's margin -inf, with no second evaluation
+    return residual(rel, a, policy).residual
 
 
 def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy

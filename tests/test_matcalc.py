@@ -14,6 +14,7 @@ from matrel.matcalc import (
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
+    op_norms,
     real_part,
 )
 
@@ -48,6 +49,7 @@ def test_op_norm_is_bitwise_norm2():
             m = _ginibre(rng, d)
             assert op_norm(m) == np.linalg.norm(m, 2), d
     assert op_norm(np.zeros((0, 0))) == 0.0
+    assert op_norms(np.zeros((0, 3, 3))).shape == (0,)
     for bad in ([[np.inf, 0], [0, 0]], [[np.nan, 0], [0, 0]],
                 np.zeros((2, 3)), np.zeros(4)):
         with pytest.raises(MatrixError):

@@ -57,7 +57,7 @@ def test_print_parse_fixed_point(text):
     p = parse_poly(text, vars_)
     printed = format_poly(p)
     again = parse_poly(printed, vars_)
-    assert format_poly(again) == printed
+    assert format_poly(again) == printed == str(p)
     assert again == p
 
 
@@ -146,15 +146,29 @@ def test_underflowing_coefficient_drops_its_monomial():
     assert p == parse_poly("0", GEN) and format_poly(p) == "0"
 
 
-def test_construction_rejects_bad_exponents():
-    from matrel.ncpoly import NcPolynomial
-
-    with pytest.raises(ExponentError):
-        NcPolynomial.from_terms([X], [(1.0, (("x", False, Fraction(0)),))])
-    with pytest.raises(ExponentError):
-        NcPolynomial.from_terms([X], [(1.0, (("x", False, Fraction(1, 2)),))])
-    with pytest.raises(ConstantTermError):
-        NcPolynomial.from_terms([X], [(1.0, ())])
+@pytest.mark.parametrize("make, err, message", [
+    (lambda: NcPolynomial.from_terms([X], [(1.0, (("x", False, Fraction(0)),))]),
+     ExponentError, "exponent 0 of 'x' must be positive"),
+    (lambda: NcPolynomial.from_terms(
+        [X], [(1.0, (("x", False, Fraction(1, 2)),))]),
+     ExponentError, "fractional exponent 1/2 needs a self-adjoint variable, "
+                    "and 'x' is general"),
+    (lambda: NcPolynomial.from_terms([X], [(1.0, ())]),
+     ConstantTermError, "polynomials have no constant term"),
+    (lambda: NcPolynomial.from_terms([X, XH], [(1.0, [("x", False, 1)])]),
+     PolyError, "duplicate variable names in ['x', 'x']"),
+    (lambda: NcPolynomial.from_terms([X], [(1.0, [("y", False, 1)])]),
+     PolyError, "word uses undeclared variable 'y'"),
+    (lambda: parse_poly("x", GEN) + parse_poly("x", {"x": X}),
+     PolyError, "polynomials are over different variable sets"),
+    (lambda: parse_poly("x )", GEN),
+     ParseError, "trailing input ')' (at offset 2)"),
+], ids=["zero-exponent", "fractional-general", "constant", "duplicate-names",
+        "undeclared", "different-sets", "trailing-input"])
+def test_construction_rejects_bad_input(make, err, message):
+    with pytest.raises(err) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_parse_error_carries_offset():
@@ -217,7 +231,8 @@ def test_products_past_the_expansion_bound_are_refused_unbuilt(monkeypatch):
 
     def build(*args):
         raise AssertionError("a refused product was built")
-    monkeypatch.setattr(NcPolynomial, "from_terms", build)
+    # every polynomial with terms is collected here
+    monkeypatch.setattr(NcPolynomial, "_collect", build)
     for refused in (lambda: x ** (MAX_EXPANSION + 1), lambda: x ** 10 ** 20,
                     lambda: xy ** 501, lambda: s ** 8, lambda: s ** 10 ** 20,
                     lambda: s7 * s, lambda: s * s7,

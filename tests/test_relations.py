@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from matrel import matcalc
+from matrel.approx import CompressionSchedule, model, residual_curves
 from matrel.matcalc import TolerancePolicy
 from matrel.ncpoly import ParseError, PolyError, Variable, parse_poly
 from matrel.relations import (
@@ -15,8 +18,10 @@ from matrel.relations import (
     Positive,
     Range01,
     RealPartBound,
+    Relation,
     SelfAdjoint,
     Unitary,
+    Verdict,
     check_all,
     describe,
     format_assignment,
@@ -25,6 +30,7 @@ from matrel.relations import (
     parse_relations,
     product_rep,
     residual,
+    residual_value,
 )
 
 POLICY = TolerancePolicy(tol_eq=1e-9, tol_psd=1e-9)
@@ -354,6 +360,40 @@ def test_check_all_aggregates():
     verdict2 = check_all(rels, Assignment({"u": u, "v": np.eye(4) * 2}), POLICY)
     assert not verdict2.satisfied
     assert verdict2.residual == max(p.residual for p in verdict2.parts)
+    assert check_all([], Assignment({"u": u}), POLICY) == Verdict(
+        True, math.inf, "no relations")
+
+
+@pytest.mark.parametrize("call", [
+    lambda rel, a: residual(rel, a, POLICY),
+    lambda rel, a: residual_value(rel, a, POLICY),
+    lambda rel, a: describe(rel),
+], ids=["residual", "residual_value", "describe"])
+def test_an_unknown_relation_kind_is_a_type_error(call):
+    with pytest.raises(TypeError, match="^unknown relation <"):
+        call(Relation(), _single("x", np.eye(2)))
+
+
+@pytest.mark.parametrize("entry", ["check_all", "residual_curves"])
+def test_a_nan_margin_fails_its_relation(monkeypatch, entry):
+    # An operator norm that reads NaN stands for any kernel that returns
+    # one: NaN >= 0 is false, but max(0, -NaN) is 0, so without the
+    # guard a failing relation would read residual 0.  At d = 4 both
+    # unitaries have full rank and ||uv - vu|| = sqrt(2) > 0.5, so no
+    # bound settles a row of the full-rank step.
+    _, rels = parse_relations(TORUS.replace("1.5", "0.5"))
+    a = Assignment({"u": model("clock", 4), "v": model("shiftmod", 4)})
+    monkeypatch.setattr(matcalc, "op_norm", lambda m: math.nan)
+    if entry == "check_all":
+        verdict = check_all(rels, a, POLICY)
+        assert verdict.margin == -math.inf and not verdict.satisfied
+        assert [(v.satisfied, v.margin, v.detail) for v in verdict.parts] == [
+            (False, -math.inf, "margin is not a number")] * 3
+    else:
+        rows = residual_curves(a, rels, CompressionSchedule((2, 4)),
+                               "loewner", POLICY)
+        assert not any(math.isnan(r["residual"]) for r in rows)
+        assert [r["residual"] for r in rows if r["rank"] == 4] == [math.inf] * 3
 
 
 @pytest.mark.parametrize("rel", [
@@ -400,6 +440,7 @@ def test_assignment_validation():
     a = Assignment({"x": np.eye(2) * 0.5})
     assert POLICY.slack(a.max_norm()) == (1e-9, 1e-9) and a.max_norm() == 0.5
     assert "x" in a and list(a) == ["x"]
+    assert repr(a) == "Assignment(dim=2, vars=['x'])"
 
 
 def test_assignment_file_round_trip():

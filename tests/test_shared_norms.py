@@ -2,14 +2,17 @@
 
 Counts of ``np.linalg.svd`` and ``np.linalg.eigh`` calls, each under the
 innermost labelled call running when it is made, pin the work: no
-unitarity SVD on a cut corner, no scale SVD when every norm is bounded
-below 1, one evaluation of a polynomial that three relations measure,
-one decomposition of a variable shared by a fractional power and an
-exponential.  Every margin is also compared, with ``==``, with one
-computed here from plain norms and evaluations, so none of the saved
-work changes a bit of the output.  The one Hermitian gate,
-``hermitian_excess``, is checked against the defect it may skip.
+unitarity or norm-bound SVD on a cut corner, no scale SVD when every
+norm is bounded below 1, one evaluation of a polynomial that three
+relations measure, one decomposition of a variable shared by a
+fractional power and an exponential.  Every margin is also compared,
+with ``==``, with one computed here from plain norms and evaluations, so
+none of the saved work changes a bit of the output.  The one Hermitian
+gate, ``hermitian_excess``, is checked against the defect it may skip,
+and ``residual_value`` against the residual it may skip.
 """
+
+import math
 
 from collections import Counter
 
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matrel import approx, matcalc, ncpoly, relations
 from matrel.approx import CompressionSchedule, Cutoff, model, residual_curves
@@ -36,16 +39,21 @@ from matrel.matcalc import (
 from matrel.ncpoly import Assignment, evaluate, format_poly
 from matrel.relations import (
     BlockPositive,
+    Contraction,
     ExpRealNormBound,
     NormBound,
     OperatorOrder,
     PolyPositive,
     PolyZero,
     Positive,
+    Range01,
     RealPartBound,
+    SelfAdjoint,
     Unitary,
     check_all,
     parse_relations,
+    residual,
+    residual_value,
 )
 
 POLICY = TolerancePolicy(tol_eq=1e-9, tol_psd=1e-9)
@@ -148,7 +156,7 @@ def test_cut_corners_take_no_unitary_or_scale_svd(monkeypatch, procedure,
     schedule = CompressionSchedule((4, 8, 12, 15, 16), Cutoff.parse(cutoff))
     spectral = _Spectral(monkeypatch)
     # A step's corner has dimension min(dim, rank + 1).
-    spectral.label(approx, "residual",
+    spectral.label(approx, "residual_value",
                    lambda rel, step, policy: (type(rel).__name__, step.dim))
     spectral.label(Assignment, "scale", lambda a: "scale")
     rows = residual_curves(a, rels, schedule, procedure, POLICY)
@@ -156,6 +164,9 @@ def test_cut_corners_take_no_unitary_or_scale_svd(monkeypatch, procedure,
 
     for k in (5, 9, 13):
         assert spectral.svds(("Unitary", k)) == 0
+    # every norm bound holds on every cut, and its bound shows it
+    for k in (5, 9, 13, dim):
+        assert spectral.svds(("NormBound", k)) == 0
     # ranks 15 and 16 both have a 16 x 16 corner; only rank 16's has no
     # zero column, and only it takes an SVD per variable
     assert spectral.svds(("Unitary", dim)) == 2
@@ -339,3 +350,98 @@ def test_fractional_power_refuses_exactly_beyond_its_slack(case):
             fractional_power(m, 0.5, policy)
     else:
         fractional_power(m, 0.5, policy)
+
+
+# x is general and y positive, so y's fractional powers meet a matrix
+# that is not Hermitian when y is drawn general.
+RESIDUAL_VARIABLES = {"x": ncpoly.Variable("x"),
+                      "y": ncpoly.Variable("y", "positive")}
+RESIDUAL_POLYS = ("x", "x y - y x", "x* x", "x^3", "y^2 - y",
+                  "y^(1/2) x y^(1/2)", "0")
+
+
+# Factors near 1: inside BOUND_MARGIN, and beyond it both ways.
+NEAR_THRESHOLD = (0.5, 1 - 1e-5, 1 - 1e-7, 1 - 2**-52, 1.0, 1 + 2**-52,
+                  1 + 1e-7, 1 + 1e-5, 2.0)
+
+
+@st.composite
+def relation_cases(draw):
+    """A policy, a relation of any kind and an assignment of x and y at
+    dimension 1 to 4: Ginibre, Hermitian or positive matrices times 2^k
+    for k in [-60, 60], or with entries that overflow an evaluation or a
+    norm.  A norm bound's c is 0 (1 if strict), a power of two, inf, or
+    the norm of p(a) times a factor near 1.  Half the norm bounds and
+    zero relations with a finite c are on x alone, a diagonal matrix,
+    whose bound is its norm, of norm tol_eq (p(a) = 0) or c or
+    c + tol_eq (norm bounds) times a factor near 1: there a bound and a
+    norm meet each threshold the relation could be held to."""
+    policy = draw(st.sampled_from(
+        [POLICY, TolerancePolicy(tol_eq=1e-2, tol_psd=1e-2)]))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = {}
+    for name in ("x", "y"):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        form = draw(st.sampled_from(["general", "hermitian", "positive"]))
+        m = {"general": g, "hermitian": (g + adjoint(g)) / 2,
+             "positive": g @ adjoint(g)}[form]
+        size = draw(st.sampled_from(["scaled", "scaled", "huge", "overflow"]))
+        if size == "scaled":
+            m = m * 2.0 ** draw(st.integers(-60, 60))
+        elif size == "huge":  # x^3 and y^2 overflow
+            m = m * 1e120
+        else:  # finite entries, and from d = 2 a norm that overflows
+            m = m / np.abs(m).max() * 1.7e308
+        mats[name] = m
+    p, q, r = (ncpoly.parse_poly(draw(st.sampled_from(RESIDUAL_POLYS)),
+                                 RESIDUAL_VARIABLES) for _ in range(3))
+    kind = draw(st.sampled_from([
+        "zero", "bound", "strict"] * 3 + [
+        "positive", "order", "block", "self", "pos", "range", "unitary",
+        "contraction", "re", "exp"]))
+    factor = draw(st.sampled_from(NEAR_THRESHOLD))
+    form = draw(st.sampled_from(["zero", "power", "norm", "norm", "inf"]))
+    c = {"zero": 0.0 if kind != "strict" else 1.0,
+         "inf": math.inf}.get(form, 2.0 ** draw(st.integers(-60, 60)))
+    if (kind in ("zero", "bound", "strict") and c < math.inf
+            and draw(st.booleans())):
+        p = ncpoly.parse_poly("x", RESIDUAL_VARIABLES)
+        t = (policy.tol_eq if kind == "zero"
+             else draw(st.sampled_from([c, c + policy.tol_eq])))
+        d = rng.uniform(0.0, 1.0, dim) * np.exp(2j * np.pi * rng.random(dim))
+        d[0] = np.exp(2j * np.pi * rng.random())
+        mats["x"] = np.diag(d) * (t * factor)
+        if draw(st.booleans()):  # the slack is then exactly tol_eq
+            del mats["y"]
+    elif kind in ("bound", "strict") and form == "norm":
+        try:
+            with np.errstate(all="ignore"):
+                norm = op_norm(evaluate(p, mats)) * factor
+        except matcalc.MatrixError:
+            norm = math.inf
+        if 0.0 < norm < math.inf:
+            c = norm
+    if kind in ("bound", "strict"):
+        return policy, mats, NormBound(p, c, strict=kind == "strict")
+    var = draw(st.sampled_from(["x", "y"]))
+    return policy, mats, {
+        "zero": PolyZero(p), "positive": PolyPositive(p),
+        "order": OperatorOrder(p, q), "block": BlockPositive(p, q, r),
+        "self": SelfAdjoint(var), "pos": Positive(var), "range": Range01(var),
+        "unitary": Unitary(var), "contraction": Contraction(var),
+        "re": RealPartBound(var, 2.0 ** draw(st.integers(-60, 60))),
+        "exp": ExpRealNormBound(var, 2.0 ** draw(st.integers(0, 60))),
+    }[kind]
+
+
+@settings(max_examples=500, deadline=None)
+@given(relation_cases())
+# p(a) = inf, whose bound inf is not below an infinite c
+@example((POLICY, {"x": np.array([[1e120]])},
+          NormBound(ncpoly.parse_poly("x^3", RESIDUAL_VARIABLES), math.inf)))
+def test_residual_value_is_the_residual_bit_for_bit(case):
+    policy, mats, rel = case
+    # each on a fresh assignment, so neither reads what the other kept
+    value = residual_value(rel, Assignment(mats), policy)
+    assert repr(value) == repr(residual(rel, Assignment(mats), policy).residual)
