@@ -284,8 +284,7 @@ def _tracked_norm(b: NormBound, a: Assignment,
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return a.poly_norm(b.poly, policy)
-    except (matcalc.NonFiniteError, matcalc.NotHermitianError,
-            matcalc.NegativeSpectrumError) as err:
+    except matcalc.MEASUREMENT_ERRORS as err:
         raise ValueError(f"cannot track {describe(b)}: {err}") from None
 
 

@@ -9,10 +9,15 @@ Tolerances are relative: a ``TolerancePolicy`` carries an equality
 tolerance and a positivity tolerance, and :meth:`TolerancePolicy.slack`
 is the one place that scales them, by tol * max(1, norm).  A relation
 is checked at the largest operator norm in its assignment, a spectral
-operation here at the norm of its own input.  Below norm 1 the slack is
-an absolute tol, and one large variable widens the slack of every
-relation; tests/test_scale_covariance.py pins the verdicts this gets
-wrong.
+operation here at the norm of its own input.  Every shortcut that skips
+a measurement asks the policy for its threshold too; nothing else reads
+a tolerance.  Below norm 1 the slack is an absolute tol, and one large
+variable widens the slack of every relation;
+tests/test_scale_covariance.py pins the verdicts this gets wrong.
+
+Every norm and spectrum, of a matrix or of a stack, reads an entry that
+LAPACK takes for NaN alike (:func:`_quartered_on_nan`), and
+:data:`MEASUREMENT_ERRORS` are what measuring a valid input can raise.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ class NotHermitianError(MatrixError):
 
 class NegativeSpectrumError(MatrixError):
     """Raised when a fractional power meets genuinely negative eigenvalues."""
+
+
+# What a measurement of a valid input can meet: an overflow, or a
+# fractional power of a matrix that is not Hermitian or not positive.
+MEASUREMENT_ERRORS = (NonFiniteError, NotHermitianError, NegativeSpectrumError)
 
 
 @dataclass(frozen=True)
@@ -91,19 +101,32 @@ def op_norm(a) -> float:
     if m.shape[0] == 0:
         return 0.0
     # norm(m, 2) is the max of this same SVD, bit for bit, at less cost.
-    return float(_quartered_on_nan(
-        lambda x: np.linalg.svd(x, compute_uv=False)[0], m))
+    return float(_quartered_on_nan(_singular_values, m)[0])
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def _quartered_on_nan(f, m: np.ndarray):
-    """``f(m)``, a LAPACK result that scales with ``m``, or four times f
-    of a quarter of m when it has a NaN.  LAPACK reads a finite entry whose
-    modulus overflows, such as 1.5e308+1.5e308i, as NaN.  A quarter of m
-    has no such entry; four times its result is the result, or inf."""
+    """``f(m)`` for a LAPACK ``f`` of a matrix or a stack, whose values
+    (its result, or the first of its results) scale with the matrix.
+    LAPACK reads a finite entry whose modulus overflows, such as
+    1.5e308+1.5e308i, as NaN.  A quarter of a matrix has no such entry,
+    so each matrix whose values have a NaN is taken again at a quarter:
+    its values are four times those, or inf, and its eigenvectors are not
+    scaled.  No other matrix of a stack changes a bit."""
     out = f(m)
-    if np.isnan(out).any():
+    parts = out if isinstance(out, tuple) else (out,)
+    nan = np.isnan(parts[0])
+    if nan.any():
+        bad = nan.any(axis=-1)
+        again = f(m[bad] / 4)
+        for part, new in zip(parts, again if isinstance(again, tuple)
+                             else (again,)):
+            part[bad] = new
         with np.errstate(over="ignore"):
-            out = 4 * f(m / 4)
+            parts[0][bad] *= 4
     return out
 
 
@@ -135,7 +158,7 @@ def op_norms(stack) -> np.ndarray:
     m = _checked(np.asarray(stack, dtype=complex), 3)
     if m.size == 0:
         return np.zeros(len(m))
-    return np.linalg.svd(m, compute_uv=False)[:, 0]
+    return _quartered_on_nan(_singular_values, m)[:, 0]
 
 
 def adjoint(a) -> np.ndarray:
@@ -193,9 +216,8 @@ def unitary_defect(m: np.ndarray) -> float:
 
 
 def _require_hermitian(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    # The equality slack is at least tol_eq, whatever the norm, so only a
-    # defect beyond tol_eq needs the norm.
-    defect = hermitian_excess(m, policy.tol_eq)
+    # The least slack is the one at norm 0; only a defect past it needs ||m||.
+    defect = hermitian_excess(m, policy.slack(0.0)[0])
     if defect and defect > policy.slack(op_norm(m))[0]:
         raise NotHermitianError(
             f"matrix is not Hermitian: ||a - a*|| = {defect:.3e}")
@@ -206,7 +228,7 @@ def spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of the Hermitian part of
     ``m`` (or of each matrix in a stack), which the caller has checked or
     knows to be Hermitian."""
-    return np.linalg.eigh(_hermitian_part(m))
+    return _quartered_on_nan(lambda x: np.linalg.eigh(_hermitian_part(x)), m)
 
 
 def spectrum_values(m: np.ndarray) -> np.ndarray:
@@ -227,8 +249,8 @@ def hermitian_calculus(f, a, policy: TolerancePolicy = DEFAULT_POLICY
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     ``f`` maps a real eigenvalue array to a real or complex array of the
-    same shape.  The input must be Hermitian within ``tol_eq``; it is
-    symmetrized before the eigendecomposition.
+    same shape.  The input must be Hermitian within the equality slack at
+    its norm; it is symmetrized before the eigendecomposition.
     """
     w, v = spectrum(_require_hermitian(as_matrix(a), policy))
     return from_spectrum(v, np.asarray(f(w)))

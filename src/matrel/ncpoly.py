@@ -397,12 +397,11 @@ class Assignment:
         return self._keep(("scale",), make)
 
     def poly_norm(self, p: NcPolynomial,
-                  policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY,
-                  value: np.ndarray | None = None) -> float:
-        """||p(a)||, kept per policy as :meth:`power` is.  ``value``, when
-        given, is p(a) as :func:`evaluate` returns it, already in hand."""
+                  policy: matcalc.TolerancePolicy = matcalc.DEFAULT_POLICY
+                  ) -> float:
+        """||p(a)||, kept per policy as :meth:`power` is."""
         return self._keep(("poly_norm", p, policy), lambda: matcalc.op_norm(
-            evaluate(p, self, policy) if value is None else value))
+            evaluate(p, self, policy)))
 
     def spectrum(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """:func:`~matrel.matcalc.spectrum` of ``name``'s matrix, read-only."""

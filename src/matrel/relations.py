@@ -227,7 +227,7 @@ def residual(rel: Relation, a: Assignment,
             verdict = _residual(rel, a, policy)
     except matcalc.NonFiniteError:
         return Verdict(False, -math.inf, detail)
-    except (matcalc.NotHermitianError, matcalc.NegativeSpectrumError) as err:
+    except matcalc.MEASUREMENT_ERRORS as err:
         return Verdict(False, -math.inf, str(err))
     if math.isnan(verdict.margin):
         return Verdict(False, -math.inf, "margin is not a number")
@@ -238,35 +238,32 @@ def residual_value(rel: Relation, a: Assignment,
                    policy: TolerancePolicy = DEFAULT_POLICY) -> float:
     """``residual(rel, a, policy).residual``, bit for bit.
 
-    A satisfied relation's residual is 0.0 whatever its margin.  So a
-    :class:`PolyZero` or :class:`NormBound` whose p(a) has a finite
-    :func:`~matrel.matcalc.op_norm_bound` at most the least threshold its
-    norm is held to, with :data:`~matrel.matcalc.BOUND_MARGIN` to spare,
-    reads 0.0 with no SVD: that threshold is tol_eq, c + tol_eq, or c for
-    a strict bound, as the equality slack is never below tol_eq.  Any
-    other case is :func:`residual`'s, which measures the p(a) evaluated
-    here, or inf where :func:`residual` fails the relation with margin
-    -inf."""
+    A satisfied relation's residual is 0.0 whatever its margin, so a
+    :class:`PolyZero` or :class:`NormBound` reads 0.0 with no SVD when the
+    finite :func:`~matrel.matcalc.op_norm_bound` of p(a), widened by
+    :data:`~matrel.matcalc.BOUND_MARGIN`, is at most the threshold that
+    :func:`residual` holds ||p(a)|| to.  Every other case is residual's."""
+    if isinstance(rel, (PolyZero, NormBound)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                threshold = _norm_threshold(rel, policy.slack(a.scale())[0])
+                bound = matcalc.op_norm_bound(evaluate(rel.poly, a, policy))
+            if (math.isfinite(bound)
+                    and bound * (1.0 + matcalc.BOUND_MARGIN) <= threshold):
+                return 0.0
+        except matcalc.MEASUREMENT_ERRORS:
+            pass
+    return residual(rel, a, policy).residual
+
+
+def _norm_threshold(rel: PolyZero | NormBound, eq_slack: float) -> float:
+    """The most ||p(a)|| may be with ``rel`` satisfied: the equality slack
+    for p(a) = 0, c plus it for ||p(a)|| <= c, and c for a strict bound."""
     match rel:
         case PolyZero():
-            least = policy.tol_eq
+            return eq_slack
         case NormBound(bound=c, strict=strict):
-            least = c if strict else c + policy.tol_eq
-        case _:
-            return residual(rel, a, policy).residual
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a.scale()
-            value = evaluate(rel.poly, a, policy)
-            bound = matcalc.op_norm_bound(value)
-            if (math.isfinite(bound)
-                    and bound * (1.0 + matcalc.BOUND_MARGIN) <= least):
-                return 0.0
-            a.poly_norm(rel.poly, policy, value)
-    except (matcalc.NonFiniteError, matcalc.NotHermitianError,
-            matcalc.NegativeSpectrumError):
-        return math.inf  # residual's margin -inf, with no second evaluation
-    return residual(rel, a, policy).residual
+            return c if strict else c + eq_slack
 
 
 def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
@@ -288,14 +285,14 @@ def _residual(rel: Relation, a: Assignment, policy: TolerancePolicy
     match rel:
         case PolyZero(poly=p):
             norm = a.poly_norm(p, policy)
-            margin = eq_slack - norm
+            margin = _norm_threshold(rel, eq_slack) - norm
             detail = f"||p(a)|| = {norm:.6e}"
         case PolyPositive(poly=p):
             margin, detail = eig_margin(evaluate(p, a, policy),
                                         "min eigenvalue")
         case NormBound(poly=p, bound=c, strict=strict):
             norm = a.poly_norm(p, policy)
-            margin = c - norm if strict else c + eq_slack - norm
+            margin = _norm_threshold(rel, eq_slack) - norm
             detail = f"||p(a)|| = {norm:.6e} vs bound {c:g}"
         case OperatorOrder(lesser=p, greater=q):
             margin, detail = eig_margin(evaluate(q - p, a, policy),

@@ -1,6 +1,7 @@
 """Golden outputs: the five demos, ``matrel reproduce --budget 200`` and
 ``check`` / ``approx`` on a d = 8 clock-shift pair, against the files
-in ``tests/golden/``.
+in ``tests/golden/``, made here and again in a process whose OpenBLAS
+is forced onto Haswell kernels.
 
 Text that is not a number compares exactly.  Numbers compare to 1e-9
 relative, and a number below 1e-12 in magnitude compares only as
@@ -13,12 +14,17 @@ changed.
 import contextlib
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import matrel
 from matrel.approx import model
 from matrel.cli import main
 from matrel.ncpoly import Assignment
@@ -126,6 +132,67 @@ def mismatches(expected: str, actual: str) -> list[str]:
 @pytest.mark.parametrize("name", PRODUCERS)
 def test_output_matches_its_golden_file(name, tmp_path):
     actual = PRODUCERS[name](tmp_path)
+    assert mismatches((GOLDEN / name).read_text(), actual) == []
+
+
+# numpy's OpenBLAS, when built with DYNAMIC_ARCH, picks its kernels for
+# the CPU at run time, and OPENBLAS_CORETYPE forces a choice.  Hosted
+# AMD runners pick Zen, which runs Haswell's kernels.
+KERNEL = "Haswell"
+PRODUCE_ALL = """\
+import sys
+import tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden import PRODUCERS
+for name, produce in PRODUCERS.items():
+    with tempfile.TemporaryDirectory() as work:
+        (Path(sys.argv[2]) / name).write_text(produce(Path(work)))
+"""
+
+
+def _kernel_can_be_forced() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot force KERNEL here, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS build"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH"
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return "no /proc/cpuinfo to show AVX2"
+    # Haswell kernels on a CPU without AVX2 crash the process.
+    return None if "avx2" in flags else f"{KERNEL} kernels need AVX2"
+
+
+@pytest.fixture(scope="module")
+def forced_kernel_outputs(tmp_path_factory) -> Path:
+    """Every producer's output, made in one fresh process whose OpenBLAS
+    runs KERNEL's kernels."""
+    reason = _kernel_can_be_forced()
+    if reason:
+        pytest.skip(reason)
+    out = tmp_path_factory.mktemp(KERNEL)
+    src = str(Path(matrel.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_CORETYPE": KERNEL,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    subprocess.run([sys.executable, "-c", PRODUCE_ALL, str(HERE), str(out)],
+                   env=env, check=True, timeout=300)
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=(
+        "the heinz reports' worst sample is the argmax of rounding noise, "
+        "which the BLAS kernel decides (ROADMAP item 14)")))
+    if name == "reproduce-budget200.jsonl" else name
+    for name in PRODUCERS])
+def test_output_matches_its_golden_file_under_another_kernel(
+        name, forced_kernel_outputs):
+    actual = (forced_kernel_outputs / name).read_text()
     assert mismatches((GOLDEN / name).read_text(), actual) == []
 
 

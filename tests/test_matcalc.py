@@ -16,6 +16,8 @@ from matrel.matcalc import (
     op_norm,
     op_norms,
     real_part,
+    spectrum,
+    spectrum_values,
 )
 
 
@@ -54,6 +56,35 @@ def test_op_norm_is_bitwise_norm2():
                 np.zeros((2, 3)), np.zeros(4)):
         with pytest.raises(MatrixError):
             op_norm(bad)
+
+
+# Hermitian with finite entries whose modulus overflows: LAPACK reads
+# them as NaN, and the eigenvalues 1 +- |z| overflow to -inf and inf.
+Z = 1.5e308 + 1.5e308j
+OVERFLOWING = np.array([[1, Z], [np.conj(Z), 1]])
+FINITE = np.array([[2, 1j], [-1j, 3]])
+STACK = np.stack([FINITE, OVERFLOWING, FINITE])
+
+
+@pytest.mark.parametrize("got, want", [
+    (lambda: spectrum_values(OVERFLOWING), lambda: [-np.inf, np.inf]),
+    (lambda: op_norms(OVERFLOWING[None])[0], lambda: op_norm(OVERFLOWING)),
+    (lambda: spectrum(OVERFLOWING)[0], lambda: spectrum_values(OVERFLOWING)),
+    (lambda: spectrum(STACK)[0][1], lambda: spectrum_values(OVERFLOWING)),
+    # eigenvectors are a quarter's, unscaled
+    (lambda: spectrum(OVERFLOWING)[1], lambda: spectrum(OVERFLOWING / 4)[1]),
+    # a stack retries only its overflowing matrix; the others keep every bit
+    (lambda: op_norms(STACK),
+     lambda: [op_norm(FINITE), op_norm(OVERFLOWING), op_norm(FINITE)]),
+    (lambda: spectrum(STACK)[0][[0, 2]], lambda: [spectrum(FINITE)[0]] * 2),
+    (lambda: spectrum(STACK)[1][[0, 2]], lambda: [spectrum(FINITE)[1]] * 2),
+    (lambda: spectrum_values(STACK)[[0, 2]],
+     lambda: [spectrum_values(FINITE)] * 2),
+], ids=["spectrum_values", "op_norms", "spectrum", "stacked spectrum",
+        "eigenvectors", "op_norms stack", "spectrum stack", "eigenvectors stack",
+        "spectrum_values stack"])
+def test_every_lapack_entry_point_retries_a_nan_alike(got, want):
+    assert np.array_equal(got(), want())
 
 
 def test_min_eigenvalue_closed_form():

@@ -51,6 +51,7 @@ from matrel.relations import (
     SelfAdjoint,
     Unitary,
     check_all,
+    describe,
     parse_relations,
     residual,
     residual_value,
@@ -293,6 +294,54 @@ def test_a_polynomial_norm_is_kept_per_policy():
     assert not strict.satisfied and strict.margin == -np.inf
 
 
+def _halve_the_slack(monkeypatch):
+    """Make every slack half of what today's rule grants, as a rule with
+    no floor at norm 1 may: a shortcut that re-derives the slack from
+    tol_eq then disagrees with the policy."""
+    full = TolerancePolicy.slack
+    monkeypatch.setattr(TolerancePolicy, "slack",
+                        lambda self, norm: tuple(t / 2 for t in full(self, norm)))
+
+
+X = ncpoly.parse_poly("x", {"x": ncpoly.Variable("x")})
+
+
+@pytest.mark.parametrize("rel", [PolyZero(X), NormBound(X, 0.0),
+                                 NormBound(X, 1.0)], ids=describe)
+def test_residual_value_reads_the_slack_of_the_policy(monkeypatch, rel):
+    # ||x|| is 0.75 tol_eq past c: inside tol_eq, outside the halved slack
+    c = rel.bound if isinstance(rel, NormBound) else 0.0
+    mats = {"x": np.diag([c + 0.75e-9, 0.0])}
+    _halve_the_slack(monkeypatch)
+    want = residual(rel, Assignment(mats), POLICY).residual
+    assert want > 0
+    assert repr(residual_value(rel, Assignment(mats), POLICY)) == repr(want)
+
+
+def test_the_hermitian_gate_reads_the_slack_of_the_policy(monkeypatch):
+    # positive, of norm about 1, with ||m - m*|| = 0.75 tol_eq
+    m = np.array([[1.0, 0.375e-9], [-0.375e-9, 0.5]])
+    assert hermitian_defect(m) == 0.75e-9
+    fractional_power(m, 0.5, POLICY)
+    _halve_the_slack(monkeypatch)
+    with pytest.raises(NotHermitianError):
+        fractional_power(m, 0.5, POLICY)
+
+
+def test_a_norm_bound_settles_at_the_slack_of_its_scale(monkeypatch):
+    # ||x|| = c = 4, whose bound clears c + tol_eq by less than
+    # BOUND_MARGIN but the slack at the bystander's norm 1e4 by more
+    a = Assignment({"x": np.diag([4.0, 0.0]), "y": np.diag([1e4, 0.0])})
+    spectral = _Spectral(monkeypatch)
+    spectral.label(relations, "residual_value",
+                   lambda rel, a, policy: type(rel).__name__)
+    spectral.label(Assignment, "scale", lambda a: "scale")
+    assert relations.residual_value(NormBound(X, 4.0), a, POLICY) == 0.0
+    monkeypatch.undo()
+    assert spectral.svds("NormBound") == 0
+    assert spectral.svds("scale") == 1
+
+
 def _near_hermitian(draw, rng, dim, h, slack):
     """h plus a skew-Hermitian part whose defect is 0.3 to 3 times slack."""
     k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -373,9 +422,11 @@ def relation_cases(draw):
     norm.  A norm bound's c is 0 (1 if strict), a power of two, inf, or
     the norm of p(a) times a factor near 1.  Half the norm bounds and
     zero relations with a finite c are on x alone, a diagonal matrix,
-    whose bound is its norm, of norm tol_eq (p(a) = 0) or c or
-    c + tol_eq (norm bounds) times a factor near 1: there a bound and a
-    norm meet each threshold the relation could be held to."""
+    whose bound is its norm, of norm the slack (p(a) = 0) or c or c plus
+    the slack (norm bounds) times a factor near 1: there a bound and a
+    norm meet each threshold the relation could be held to.  There y is
+    kept, dropped, or made a bystander of norm 2^k for k in [1, 60], and
+    the slack is the one at the scale x and the bystander set."""
     policy = draw(st.sampled_from(
         [POLICY, TolerancePolicy(tol_eq=1e-2, tol_psd=1e-2)]))
     dim = draw(st.integers(1, 4))
@@ -407,13 +458,21 @@ def relation_cases(draw):
     if (kind in ("zero", "bound", "strict") and c < math.inf
             and draw(st.booleans())):
         p = ncpoly.parse_poly("x", RESIDUAL_VARIABLES)
-        t = (policy.tol_eq if kind == "zero"
-             else draw(st.sampled_from([c, c + policy.tol_eq])))
+        y = draw(st.sampled_from(["kept", "dropped", "bystander", "bystander"]))
+        size = 2.0 ** draw(st.integers(1, 60)) if y == "bystander" else 1.0
+        if y == "dropped":
+            del mats["y"]
+        elif y == "bystander":
+            mats["y"] = size * np.eye(dim)
+        # c is 0 for p(a) = 0; ||x|| = c / (1 - tol_eq) is c plus the
+        # slack at norm ||x||
+        c = 0.0 if kind == "zero" else c
+        slack = policy.slack(max(size, c / (1 - policy.tol_eq)))[0]
+        t = (slack if kind == "zero"
+             else draw(st.sampled_from([c, c + slack])))
         d = rng.uniform(0.0, 1.0, dim) * np.exp(2j * np.pi * rng.random(dim))
         d[0] = np.exp(2j * np.pi * rng.random())
         mats["x"] = np.diag(d) * (t * factor)
-        if draw(st.booleans()):  # the slack is then exactly tol_eq
-            del mats["y"]
     elif kind in ("bound", "strict") and form == "norm":
         try:
             with np.errstate(all="ignore"):
