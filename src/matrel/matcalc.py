@@ -261,9 +261,9 @@ def matrix_exp(a) -> np.ndarray:
     in a (K, n, n) stack, validated as by :func:`op_norms`; a stacked
     exponential equals the exponential of each row bit for bit."""
     # Imported here, not at module level: loading scipy.linalg takes
-    # longer than a whole check, and only the exponential needs it.  expm
-    # is looked up on each call, so replacing scipy.linalg.expm reaches
-    # every caller.
+    # longer than a whole check, and only the exponential and direct_sum
+    # need it.  expm is looked up on each call, so replacing
+    # scipy.linalg.expm reaches every caller.
     import scipy.linalg
     m = np.asarray(a, dtype=complex)
     return scipy.linalg.expm(_checked(m, 3 if m.ndim == 3 else 2))
@@ -286,25 +286,25 @@ def max_eigenvalue(a, policy: TolerancePolicy = DEFAULT_POLICY) -> float:
 
 def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY,
                      decomposition=None) -> np.ndarray:
-    """Matrix power with a rational or real exponent.
+    """Matrix power with a nonnegative rational or real exponent.
 
     Integer exponents use repeated multiplication and work for any square
     matrix.  Non-integer exponents require a Hermitian matrix whose
     spectrum is nonnegative within ``tol_psd``; eigenvalues in the
     tolerance band below zero are clamped to zero before the power is
-    taken.  Exponent 0 gives the identity.  ``decomposition``, when
-    given, is called with no arguments once the Hermitian check passes,
-    and returns what :func:`spectrum` of ``a`` would, so that a caller
-    that keeps that spectrum lends it instead of paying for a new one.
+    taken.  Exponent 0 gives the identity, and a negative exponent of any
+    matrix raises ValueError.  ``decomposition``, when given, is called
+    with no arguments once the Hermitian check passes, and returns what
+    :func:`spectrum` of ``a`` would, so that a caller that keeps that
+    spectrum lends it instead of paying for a new one.
     """
     m = as_matrix(a)
     t = Fraction(exponent).limit_denominator(10**12) if not isinstance(
         exponent, Fraction) else exponent
+    if t < 0:
+        raise ValueError("negative powers are not supported")
     if t.denominator == 1:
-        n = int(t)
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        return np.linalg.matrix_power(m, n)
+        return np.linalg.matrix_power(m, int(t))
     _require_hermitian(m, policy)
     w, v = decomposition() if decomposition is not None else spectrum(m)
     # The floor is negative, so only a negative eigenvalue can be below it.
@@ -319,16 +319,11 @@ def fractional_power(a, exponent, policy: TolerancePolicy = DEFAULT_POLICY,
 
 def direct_sum(mats) -> np.ndarray:
     """Block-diagonal direct sum of a nonempty sequence of matrices."""
+    import scipy.linalg  # on first use, as in matrix_exp
     blocks = [as_matrix(m) for m in mats]
     if not blocks:
         raise ValueError("direct_sum needs at least one matrix")
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        out[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    return out
+    return scipy.linalg.block_diag(*blocks)
 
 
 def block2(x, y, z) -> np.ndarray:

@@ -174,6 +174,13 @@ _KIND_RELATIONS = {
     "contraction": Contraction,
 }
 
+# Relations on one variable's real part, spelled ``word(x) <= bound``.
+_PART_RELATIONS = {"re": RealPartBound, "normexp_re": ExpRealNormBound}
+
+# The file word of each relation class in the two tables above.
+_WORDS = {cls: word for table in (_KIND_RELATIONS, _PART_RELATIONS)
+          for word, cls in table.items()}
+
 
 def side_relations(variables: Iterable[Variable]) -> list[Relation]:
     """The relations the variables' kinds imply, in declaration order;
@@ -393,14 +400,12 @@ def parse_relations(text: str) -> tuple[dict[str, Variable], list[Relation]]:
     if not variables:
         tok = stream.peek()
         raise ParseError("a relation file starts with declarations", tok.pos)
-    varset = tuple(variables.values())
-
     relations = side_relations(variables.values())
 
     while stream.peek().kind == "ident" and stream.peek().value == "rel":
         rel_tok = stream.next()
         try:
-            relations.append(_parse_relation(stream, variables, varset))
+            relations.append(_parse_relation(stream, variables))
         except ValueError as err:
             if isinstance(err, ParseError):
                 raise
@@ -414,8 +419,9 @@ def parse_relations(text: str) -> tuple[dict[str, Variable], list[Relation]]:
     return variables, relations
 
 
-def _parse_relation(stream: TokenStream, variables: dict[str, Variable],
-                    varset: tuple[Variable, ...]) -> Relation:
+def _parse_relation(stream: TokenStream, variables: dict[str, Variable]
+                    ) -> Relation:
+    varset = tuple(variables.values())
     tok = stream.peek()
     if tok.kind == "ident" and tok.value == "norm":
         stream.next()
@@ -435,7 +441,7 @@ def _parse_relation(stream: TokenStream, variables: dict[str, Variable],
         pz = parse_expr(stream, varset)
         stream.take_op(")")
         return BlockPositive(px, py, pz)
-    if tok.kind == "ident" and tok.value in ("re", "normexp_re"):
+    if tok.kind == "ident" and tok.value in _PART_RELATIONS:
         stream.next()
         stream.take_op("(")
         name_tok = stream.take_ident()
@@ -444,10 +450,7 @@ def _parse_relation(stream: TokenStream, variables: dict[str, Variable],
                 f"unknown variable {name_tok.value!r}", name_tok.pos)
         stream.take_op(")")
         stream.take_op("<=")
-        bound = _take_number(stream)
-        if tok.value == "re":
-            return RealPartBound(name_tok.value, bound)
-        return ExpRealNormBound(name_tok.value, bound)
+        return _PART_RELATIONS[tok.value](name_tok.value, _take_number(stream))
     p = parse_expr(stream, varset)
     if stream.at_op("=", ">="):
         op = stream.next().value
@@ -484,23 +487,15 @@ def describe(rel: Relation) -> str:
             return f"norm({format_poly(p)}) {'<' if s else '<='} {format_number(c)}"
         case OperatorOrder(lesser=p, greater=q):
             return f"{format_poly(p)} <= {format_poly(q)}"
-        case SelfAdjoint(var=v):
-            return f"{v} hermitian"
-        case Positive(var=v):
-            return f"{v} positive"
+        case SelfAdjoint() | Positive() | Unitary() | Contraction():
+            return f"{rel.var} {_WORDS[type(rel)]}"
         case Range01(var=v):
             return f"{v} in [0, 1]"
-        case Unitary(var=v):
-            return f"{v} unitary"
-        case Contraction(var=v):
-            return f"{v} contraction"
         case BlockPositive(x=px, y=py, z=pz):
             return (f"blockpos({format_poly(px)}, {format_poly(py)}, "
                     f"{format_poly(pz)})")
-        case RealPartBound(var=v, bound=b):
-            return f"re({v}) <= {format_number(b)}"
-        case ExpRealNormBound(var=v, bound=b):
-            return f"normexp_re({v}) <= {format_number(b)}"
+        case RealPartBound(var=v, bound=b) | ExpRealNormBound(var=v, bound=b):
+            return f"{_WORDS[type(rel)]}({v}) <= {format_number(b)}"
     raise TypeError(f"unknown relation {rel!r}")
 
 
@@ -511,7 +506,7 @@ def format_relations(variables: Mapping[str, Variable],
 
     Side relations implied by variable kinds are folded into the
     declarations.  Relations with no file syntax (explicit SelfAdjoint
-    and friends, Range01) raise ValueError.
+    and friends, Range01, a bound that is not finite) raise ValueError.
     """
     lines = []
     for v in variables.values():
@@ -526,6 +521,9 @@ def format_relations(variables: Mapping[str, Variable],
             raise ValueError(
                 f"{type(rel).__name__} has no explicit file syntax; "
                 "declare the variable with the matching kind instead")
+        if (isinstance(rel, (NormBound, *_PART_RELATIONS.values()))
+                and not math.isfinite(rel.bound)):
+            raise ValueError(f"{describe(rel)}: a file bound must be finite")
         lines.append(f"rel {describe(rel)};")
     return "\n".join(lines) + "\n"
 

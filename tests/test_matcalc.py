@@ -121,8 +121,13 @@ def test_fractional_power_integer_any_matrix():
     n = np.array([[0, 1], [0, 0]], dtype=complex)
     assert np.allclose(fractional_power(n, 2), n @ n)
     assert np.allclose(fractional_power(n, 0), np.eye(2))
-    with pytest.raises(ValueError, match="^negative powers are not supported$"):
-        fractional_power(n, -1)
+    # Every negative exponent is refused, not only an integer one:
+    # diag(4, 0) ** -0.5 would divide by zero.
+    for m, t in ((n, -1), (np.diag([4.0, 9.0]), -0.5),
+                 (np.diag([4.0, 0.0]), -0.5), (np.diag([4.0, 9.0]), -2.5)):
+        with pytest.raises(ValueError,
+                           match="^negative powers are not supported$"):
+            fractional_power(m, t)
 
 
 def test_fractional_power_rejects_negative_spectrum():

@@ -6,7 +6,7 @@ import pytest
 from matrel import matcalc
 from matrel.approx import CompressionSchedule, model, residual_curves
 from matrel.matcalc import TolerancePolicy
-from matrel.ncpoly import ParseError, PolyError, Variable, parse_poly
+from matrel.ncpoly import KINDS, ParseError, PolyError, Variable, parse_poly
 from matrel.relations import (
     Assignment,
     BlockPositive,
@@ -32,6 +32,7 @@ from matrel.relations import (
     residual,
     residual_value,
 )
+from matrel.relations import _KIND_RELATIONS, _PART_RELATIONS
 
 POLICY = TolerancePolicy(tol_eq=1e-9, tol_psd=1e-9)
 
@@ -96,6 +97,9 @@ def test_relation_file_round_trip():
         "var x;\nrel 1e-400 x = 0;",
         "var x;\nrel norm(x) < 1e-400;",
         "var x;\nrel re(x) <= 1e-400;",
+        # every other word of the file syntax is reserved too
+        *(f"var {word};" for word in ("var", "norm", "blockpos",
+                                      *_PART_RELATIONS, *KINDS)),
     ],
 )
 def test_rejected_relation_files(text):
@@ -103,10 +107,28 @@ def test_rejected_relation_files(text):
         parse_relations(text)
 
 
-def test_formatter_refuses_kindless_side_relations():
+def test_every_kind_but_general_has_a_side_relation():
+    assert set(_KIND_RELATIONS) == set(KINDS) - {"general"}
+
+
+_X = parse_poly("x", {"x": Variable("x", "general")})
+
+
+@pytest.mark.parametrize(
+    "rel, message",
+    [
+        (SelfAdjoint("x"), "no explicit file syntax"),
+        # the file syntax has no infinite number, so these would not parse
+        (NormBound(_X, math.inf), "must be finite"),
+        (NormBound(_X, math.inf, strict=True), "must be finite"),
+        (RealPartBound("x", math.inf), "must be finite"),
+        (ExpRealNormBound("x", math.inf), "must be finite"),
+    ],
+)
+def test_formatter_refuses_relations_without_file_syntax(rel, message):
     x = Variable("x", "general")
-    with pytest.raises(ValueError):
-        format_relations({"x": x}, [SelfAdjoint("x")])
+    with pytest.raises(ValueError, match=message):
+        format_relations({"x": x}, [rel])
 
 
 def test_residual_poly_zero_hand_value():
