@@ -700,8 +700,11 @@ def _parse_integer(stream: TokenStream) -> int:
 # Printer
 
 def format_number(x: float) -> str:
-    """Render a nonnegative float so that parsing it back is exact."""
-    return repr(float(x))
+    """Render a nonnegative float so that parsing it back is exact.
+
+    -0.0 is written ``0.0``: the parser reads no sign before a number.
+    """
+    return repr(float(x) + 0.0)
 
 
 def _format_coeff(coeff: complex) -> tuple[str, str]:

@@ -640,7 +640,8 @@ def _parse_entry(cell: str, name: str) -> complex:
 
 
 def format_assignment(a: Assignment) -> str:
-    """Render an assignment in the plain-text format."""
+    """Render an assignment in the plain-text format; parsing it back
+    gives every entry bit for bit, the sign of each zero included."""
     lines = [f"dim {a.dim} vars {len(a.names())}"]
     for name in a.names():
         lines.append(name)
@@ -651,5 +652,5 @@ def format_assignment(a: Assignment) -> str:
 
 def _format_entry(z: complex) -> str:
     z = complex(z)
-    sign = "-" if z.imag < 0 else "+"
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"

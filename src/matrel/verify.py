@@ -18,7 +18,7 @@ The experiments:
   matrices; the first never exceeds the second.
 * ``heinz_experiment``: the two-sided interpolation bound
   ||a^nu x b^(1-nu) + a^(1-nu) x b^nu|| <= ||a x + x b|| for positive
-  a, b, over a grid of nu, with equality at the endpoints.
+  a, b, over the nu of ``HEINZ_GRID``, with equality at the endpoints.
 * ``monotone_experiment``: whether t -> t^power preserves the
   semidefinite order on order pairs; true for powers in (0, 1], and
   refuted by explicit 2x2 pairs for the square.
@@ -46,6 +46,7 @@ import numpy as np
 
 from . import matcalc
 from .matcalc import DEFAULT_POLICY, TolerancePolicy
+from .ncpoly import format_number
 from .relations import (
     Assignment,
     check_all,
@@ -248,12 +249,11 @@ def exp_norm_experiment(e: Ensemble) -> ExperimentReport:
 # Heinz interpolation
 
 HEINZ_THRESHOLD = 1e-8
-HEINZ_DEFAULT_GRID = tuple(round(0.1 * k, 1) for k in range(11))
+HEINZ_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 
 
-def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
-                     ) -> ExperimentReport:
-    """Test the interpolation bound over a grid of exponents.
+def heinz_experiment(e: Ensemble) -> ExperimentReport:
+    """Test the interpolation bound over the exponents of :data:`HEINZ_GRID`.
 
     Each sample draws positive a (role 0), positive b (role 1) and
     general x (role 2).  Violations are relative to
@@ -261,11 +261,7 @@ def heinz_experiment(e: Ensemble, nus: Sequence[float] = HEINZ_DEFAULT_GRID,
     bound itself up to rounding; the per-sample endpoint gap is recorded
     in the stats.
     """
-    if not nus:
-        raise ValueError("the heinz experiment needs at least one exponent")
-    for nu in nus:
-        if not 0 <= nu <= 1:
-            raise ValueError(f"a heinz exponent must lie in [0, 1], got {nu!r}")
+    nus = HEINZ_GRID
     start = time.perf_counter()
     flat: list[float] = []
     for chunk in _chunks(e):
@@ -577,15 +573,13 @@ def clock_shift_pair(dim: int) -> Assignment:
 def soft_torus_relations(epsilon: float) -> str:
     """Relation-file text for two unitaries with a small commutator; the
     bound ``epsilon`` must be finite and nonnegative."""
-    from .ncpoly import format_number
     if not 0 <= epsilon < math.inf:
         raise ValueError("a commutator bound must be finite and "
                          f"nonnegative, got {epsilon!r}")
-    # abs writes -0.0 as 0.0, which the relation parser reads
     return (
         "var u unitary;\n"
         "var v unitary;\n"
-        f"rel norm(u v - v u) <= {format_number(abs(epsilon))};\n")
+        f"rel norm(u v - v u) <= {format_number(epsilon)};\n")
 
 
 # ---------------------------------------------------------------------------

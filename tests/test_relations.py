@@ -131,6 +131,16 @@ def test_formatter_refuses_relations_without_file_syntax(rel, message):
         format_relations({"x": x}, [rel])
 
 
+def test_formatter_writes_a_negative_zero_bound_as_zero():
+    # the parser reads no sign before a bound, so -0.0 prints as 0.0
+    x = Variable("x", "general")
+    text = format_relations({"x": x}, [NormBound(_X, -0.0)])
+    assert text == "var x;\nrel norm(x) <= 0.0;\n"
+    variables, rels = parse_relations(text)
+    assert variables == {"x": x} and rels == [NormBound(_X, 0.0)]
+    assert format_relations(variables, rels) == text
+
+
 def test_residual_poly_zero_hand_value():
     _, rels = parse_relations(IDEM)
     v = residual(rels[0], _single("x", [[0.5]]), POLICY)
@@ -465,17 +475,30 @@ def test_assignment_validation():
     assert repr(a) == "Assignment(dim=2, vars=['x'])"
 
 
-def test_assignment_file_round_trip():
+def _random_mats():
     rng = np.random.default_rng(17)
-    mats = {
+    return {
         "u": rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
         "v": rng.standard_normal((3, 3)),
     }
+
+
+@pytest.mark.parametrize("mats", [
+    _random_mats(),
+    # -0.0 in the real part, the imaginary part and both
+    {"z": np.array([[complex(-0.0, 1.0)]])},
+    {"z": np.array([[complex(1.0, -0.0)]])},
+    {"z": np.array([[complex(-0.0, -0.0)]])},
+], ids=["random", "real-zero", "imag-zero", "both-zeros"])
+def test_assignment_file_round_trip(mats):
     a = Assignment(mats)
     text = format_assignment(a)
     back = parse_assignment(text)
     for name in mats:
-        assert np.array_equal(back[name], a[name])
+        got = np.ascontiguousarray(back[name], dtype=complex)
+        want = np.ascontiguousarray(a[name], dtype=complex)
+        # array_equal cannot see the sign of a zero; the bits can
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert format_assignment(back) == text
 
 

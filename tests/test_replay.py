@@ -12,6 +12,7 @@ from matrel import matcalc
 from matrel.relations import Assignment, check_all, parse_relations
 from matrel.verify import (
     DEFAULT_POSITIVITY_RELATIONS,
+    HEINZ_GRID,
     Ensemble,
     exp_norm_experiment,
     ginibre,
@@ -77,12 +78,10 @@ def test_expnorm_worst_sample_replays(seed, dim, count):
 
 
 @SMALL
-@given(SEEDS, DIMS, COUNTS,
-       st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]), min_size=1,
-                max_size=4))
-def test_heinz_worst_sample_replays(seed, dim, count, nus):
-    rep = heinz_experiment(Ensemble(dim, seed, count), nus)
-    cells = [(i, nu) for i in range(count) for nu in nus]
+@given(SEEDS, DIMS, COUNTS)
+def test_heinz_worst_sample_replays(seed, dim, count):
+    rep = heinz_experiment(Ensemble(dim, seed, count))
+    cells = [(i, nu) for i in range(count) for nu in HEINZ_GRID]
     values = [_heinz(seed, dim, i, nu) for i, nu in cells]
     at = cells.index((rep.worst_seed["index"], rep.stats["worst_nu"]))
     _check_worst(values, at, rep)

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from matrel import matcalc
+from matrel import matcalc, verify
 from matrel.verify import (
     EXP_NORM_THRESHOLD,
     HEINZ_THRESHOLD,
@@ -35,6 +35,7 @@ COUNTS = (1, _SAMPLE_BATCH - 1, _SAMPLE_BATCH, _SAMPLE_BATCH + 1,
           2 * _SAMPLE_BATCH + 2)
 # A heinz report shows the exponent farthest from 1/2, where the bound is
 # least tight; the grid of 1/2 alone makes the square-root path show.
+# Each grid stands in for verify.HEINZ_GRID while heinz runs.
 GRIDS = ((0.0, 0.5, 1 / 3, 1.0), (0.5,))
 POWERS = (0.3, 0.5, 2.0)
 
@@ -156,7 +157,8 @@ def test_stacked_experiments_match_per_sample_loops(monkeypatch, dim, count):
     _check(monkeypatch, lambda: exp_norm_experiment(e), lambda: _seq_exp_norm(e),
            chunks, {"matrix_exp": 1, "spectrum": 1, "op_norms": 2})
     for nus in GRIDS:
-        _check(monkeypatch, lambda: heinz_experiment(e, nus),
+        monkeypatch.setattr(verify, "HEINZ_GRID", nus)
+        _check(monkeypatch, lambda: heinz_experiment(e),
                lambda: _seq_heinz(e, nus), chunks,
                {"spectrum": 2, "clip": 2, "op_norms": 1 + len(nus)})
     for power in POWERS:

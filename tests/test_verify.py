@@ -245,11 +245,6 @@ def test_negative_seeds_are_rejected_up_front(seed):
     assert Ensemble(3, 0, 2).seed == 0
 
 
-def test_heinz_experiment_rejects_an_empty_grid():
-    with pytest.raises(ValueError, match="at least one exponent"):
-        heinz_experiment(Ensemble(3, seed=8, count=2), nus=())
-
-
 def _positivity(dims=(2,), seed=1, count=3):
     return positivity_transfer_check(DEFAULT_POSITIVITY_RELATIONS, dims=dims,
                                      seed=seed, count=count)
@@ -295,12 +290,6 @@ def test_sizes_from_numpy_are_kept_as_int():
 
 
 @pytest.mark.parametrize("run, message", [
-    (lambda e: heinz_experiment(e, nus=[0.0, 1.5]),
-     "a heinz exponent must lie in [0, 1], got 1.5"),
-    (lambda e: heinz_experiment(e, nus=[-0.1]),
-     "a heinz exponent must lie in [0, 1], got -0.1"),
-    (lambda e: heinz_experiment(e, nus=[math.nan]),
-     "a heinz exponent must lie in [0, 1], got nan"),
     (lambda e: monotone_experiment(math.inf, e),
      "the power must be positive and finite, got inf"),
     (lambda e: monotone_experiment(math.nan, e),
